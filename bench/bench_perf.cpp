@@ -35,6 +35,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/rank1.hpp"
 #include "linalg/simd.hpp"
+#include "linalg/sparse_factorization.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "linalg/sparse.hpp"
@@ -81,7 +82,7 @@ void BM_SparseComplexLu(benchmark::State& state) {
   }
   std::vector<linalg::Complex> b(n, {1.0, 0.0});
   for (auto _ : state) {
-    linalg::SparseLu<linalg::Complex> lu(coo);
+    const linalg::SparseFactorization<linalg::Complex> lu(coo);
     benchmark::DoNotOptimize(lu.solve(b));
   }
 }

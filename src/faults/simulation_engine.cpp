@@ -54,40 +54,54 @@ struct SiteState {
   std::size_t full_solves = 0;
 };
 
-/// Golden-phase results for every batch of a block, as one arena of four
-/// split planes (four allocations total, so the setup cost is independent
-/// of grid size and the steady-state sweep performs none).  Batch b's
-/// slice starts at b * n * width (x0) / b * site_count * n * width (w);
-/// within a slice the layouts match BatchSweepSolver's outputs: x0 at
-/// [r * width + lane], w site-major at [(site * n + r) * width + lane] —
-/// already the transposed frequency-major view phase 2 wants, so the old
-/// per-frequency transpose pass is gone.
-struct SlotArena {
-  AlignedVector x0_re, x0_im;  ///< batch_cap * n * width
-  AlignedVector w_re, w_im;    ///< batch_cap * site_count * n * width
+/// Phase-1 output of one frequency block: the four numbers the
+/// Sherman–Morrison sweep reads per (site, frequency) — x0[out], shared by
+/// every site, and each site's w[out], v.x0 and v.w — as split planes.
+/// Site si's frequencies sit at [si * stride, si * stride + m).
+struct SweepInputs {
+  AlignedVector x0_re, x0_im;                      ///< stride
+  AlignedVector w_re, w_im, vx0_re, vx0_im, vw_re, vw_im;  ///< sites * stride
+
+  void resize(std::size_t site_count, std::size_t stride) {
+    x0_re.resize(stride);
+    x0_im.resize(stride);
+    for (auto* v : {&w_re, &w_im, &vx0_re, &vx0_im, &vw_re, &vw_im}) {
+      v->resize(site_count * stride);
+    }
+  }
 };
 
-/// Per-lane SoA scratch of the rank-1 phase (split re/im gathers feeding
-/// linalg::sherman_morrison_sweep_simd).
+/// Phase-1 workspace of a dense lane: one batched solver plus the full
+/// solution planes of the golden system and of every site's u column.
+template <typename P>
+struct DenseLane {
+  mna::BatchSweepSolver<P> solver;
+  AlignedVector x0_re, x0_im;  ///< n * width
+  AlignedVector w_re, w_im;    ///< site_count * n * width
+};
+
+/// Phase-1 workspace of a sparse lane: one solver plus the read-set
+/// solutions of the golden system and of the current site's u.
+struct SparseLane {
+  mna::SweepSolver solver;
+  std::vector<Complex> x0, w;  ///< n; only read-set entries are meaningful
+};
+
+/// Per-lane SoA scratch of the rank-1 phase.
 struct SiteLane {
-  AlignedVector x0_re, x0_im, w_re, w_im;
-  AlignedVector vx0_re, vx0_im, vw_re, vw_im;
   AlignedVector scale_re, scale_im, out_re, out_im;
   std::vector<unsigned char> refused;
 
   void ensure(std::size_t m) {
-    if (x0_re.size() >= m) return;
-    for (auto* v : {&x0_re, &x0_im, &w_re, &w_im, &vx0_re, &vx0_im, &vw_re,
-                    &vw_im, &scale_re, &scale_im, &out_re, &out_im}) {
-      v->resize(m);
-    }
+    if (scale_re.size() >= m) return;
+    for (auto* v : {&scale_re, &scale_im, &out_re, &out_im}) v->resize(m);
     refused.resize(m);
   }
 };
 
-/// Frequencies are processed in blocks of this size so at most this many
-/// golden solutions are alive at once (O(block * n * (1 + S)) memory
-/// instead of O(frequencies * ...)), without changing any result bit.
+/// Frequencies are processed in blocks of this size so the sweep inputs
+/// take O(block * S) memory instead of O(frequencies * S), without
+/// changing any result bit.
 /// A multiple of every supported pack width, so batch membership — and
 /// therefore every lane's arithmetic — depends only on the grid, never
 /// on the thread count.
@@ -180,19 +194,24 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
   }
 }
 
-/// The factorization-reuse sweep, batched P::width frequencies per SIMD
-/// lane.  Phase 1 runs the batched golden factor + shared-RHS solve +
-/// blocked multi-RHS u solve; phase 2 fans the sites out over pack-wide
-/// gathers and the SIMD Sherman–Morrison sweep.  Instantiated once on
-/// the native pack and once on ScalarPack (the runtime FTDIAG_SIMD=off
-/// twin); lanes are arithmetically independent, and batch membership is
-/// width-determined, so results are bit-stable across thread counts.
+/// The factorization-reuse sweep over frequency blocks.  Phase 1 factors
+/// the golden system and reduces it to the sweep inputs: on the dense
+/// backend batched P::width frequencies per SIMD lane with full solves, on
+/// the sparse backend one refactor per frequency with read-set solves
+/// only.  Phase 2 fans the sites out over the SIMD Sherman–Morrison sweep,
+/// reading nothing but those inputs.  Instantiated once on the native
+/// pack and once on ScalarPack (the runtime FTDIAG_SIMD=off twin); every
+/// frequency's arithmetic is independent of which lane computes it and
+/// batch membership is width-determined, so results are bit-stable across
+/// thread counts.
 template <typename P>
 void reuse_sweep(const circuits::CircuitUnderTest& cut,
                  const SimOptions& options,
                  const std::vector<ParametricFault>& faults,
                  const std::vector<double>& frequencies_hz,
-                 const mna::AcAnalysis& golden_analysis,
+                 const mna::SweepAssembler& assembler,
+                 const std::shared_ptr<const mna::SweepSolver::Context>&
+                     context,
                  const std::vector<SiteItem>& sites,
                  std::vector<SiteState>& state, std::size_t threads,
                  std::size_t out, AlignedVector& golden_re,
@@ -200,47 +219,55 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
   constexpr std::size_t kW = P::width;
   using C = linalg::simd::CPack<P>;
 
-  const mna::MnaSystem& system = golden_analysis.system();
-  const std::size_t n = system.unknown_count();
+  const std::size_t n = assembler.size();
   const std::size_t site_count = sites.size();
   const std::size_t total = frequencies_hz.size();
-
-  // All sites' structural u columns as one shared n x S right-hand-side
-  // block (column-major): the golden phase answers every site's
-  // w = A^{-1} u with a single blocked multi-RHS solve per batch.
-  std::vector<Complex> u_columns(n * site_count, Complex{});
-  for (std::size_t si = 0; si < site_count; ++si) {
-    for (const auto& [index, value] : sites[si].update.u.entries) {
-      u_columns[si * n + index] += value;
-    }
-  }
-
-  const mna::SweepAssembler& assembler = golden_analysis.sweep_assembler();
-  // Per-circuit solver preparation, shared by every golden lane.  The
-  // auto backend reuses the analysis already run by AcAnalysis; a forced
-  // backend (differential tests, scaling benchmarks) analyzes its own.
-  const std::shared_ptr<const mna::SweepSolver::Context> solver_context =
-      options.backend == mna::SolverBackend::kAuto
-          ? golden_analysis.solver_context()
-          : mna::SweepSolver::analyze(assembler, options.backend);
 
   static_assert(kFrequencyBlock % kW == 0,
                 "block size must hold whole packs");
   const std::size_t block_cap = std::min(kFrequencyBlock, total);
   const std::size_t batch_cap = (block_cap + kW - 1) / kW;
-  SlotArena slots;
-  slots.x0_re.resize(batch_cap * n * kW);
-  slots.x0_im.resize(batch_cap * n * kW);
-  slots.w_re.resize(batch_cap * site_count * n * kW);
-  slots.w_im.resize(batch_cap * site_count * n * kW);
-  std::vector<Complex> s_padded(batch_cap * kW);
-  AlignedVector s_re_block(batch_cap * kW), s_im_block(batch_cap * kW);
-  std::vector<mna::BatchSweepSolver<P>> golden_lanes;
-  const std::size_t golden_lane_count =
-      std::max<std::size_t>(1, std::min(threads, batch_cap));
-  golden_lanes.reserve(golden_lane_count);
-  for (std::size_t i = 0; i < golden_lane_count; ++i) {
-    golden_lanes.emplace_back(assembler, solver_context);
+  const std::size_t stride = batch_cap * kW;
+  SweepInputs in;
+  in.resize(site_count, stride);
+  std::vector<Complex> s_padded(stride);
+  AlignedVector s_re_block(stride), s_im_block(stride);
+
+  // Phase-1 lanes.  Dense: every site's structural u column as one shared
+  // n x S block (column-major) for the batched multi-RHS solve.  Sparse:
+  // the excitation as (row, value) entries for the read-set solve.
+  std::vector<Complex> u_columns;
+  std::vector<std::pair<std::size_t, Complex>> rhs_entries;
+  std::vector<DenseLane<P>> dense_lanes;
+  std::vector<SparseLane> sparse_lanes;
+  const std::size_t lane_count = std::max<std::size_t>(
+      1, std::min(threads, context->sparse ? block_cap : batch_cap));
+  if (context->sparse) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (assembler.rhs()[i] != Complex{}) {
+        rhs_entries.emplace_back(i, assembler.rhs()[i]);
+      }
+    }
+    sparse_lanes.reserve(lane_count);
+    for (std::size_t i = 0; i < lane_count; ++i) {
+      sparse_lanes.push_back({mna::SweepSolver(assembler, context),
+                              std::vector<Complex>(n),
+                              std::vector<Complex>(n)});
+    }
+  } else {
+    u_columns.assign(n * site_count, Complex{});
+    for (std::size_t si = 0; si < site_count; ++si) {
+      for (const auto& [index, value] : sites[si].update.u.entries) {
+        u_columns[si * n + index] += value;
+      }
+    }
+    dense_lanes.reserve(lane_count);
+    for (std::size_t i = 0; i < lane_count; ++i) {
+      dense_lanes.push_back({mna::BatchSweepSolver<P>(assembler, context),
+                             AlignedVector(n * kW), AlignedVector(n * kW),
+                             AlignedVector(site_count * n * kW),
+                             AlignedVector(site_count * n * kW)});
+    }
   }
   std::vector<SiteLane> site_lanes(
       std::max<std::size_t>(1, std::min(threads, site_count)));
@@ -266,26 +293,86 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
       s_im_block[bi] = s.imag();
     }
 
-    par::parallel_for_lanes(batches, threads, [&](std::size_t lane,
-                                                  std::size_t batch) {
-      mna::BatchSweepSolver<P>& solver = golden_lanes[lane];
-      double* x0_re = slots.x0_re.data() + batch * n * kW;
-      double* x0_im = slots.x0_im.data() + batch * n * kW;
-      solver.factor(
-          std::span<const Complex>(s_padded).subspan(batch * kW, kW));
-      solver.solve_shared(assembler.rhs(), x0_re, x0_im);
-      const std::size_t valid = std::min(kW, m - batch * kW);
-      for (std::size_t lane_i = 0; lane_i < valid; ++lane_i) {
-        golden_re[begin + batch * kW + lane_i] = x0_re[out * kW + lane_i];
-        golden_im[begin + batch * kW + lane_i] = x0_im[out * kW + lane_i];
-      }
-      if (site_count > 0) {
-        solver.solve_shared_multi(
-            u_columns, site_count,
-            slots.w_re.data() + batch * site_count * n * kW,
-            slots.w_im.data() + batch * site_count * n * kW);
-      }
-    });
+    if (context->sparse) {
+      par::parallel_for_lanes(m, threads, [&](std::size_t lane,
+                                              std::size_t i) {
+        SparseLane& ws = sparse_lanes[lane];
+        ws.solver.factor(s_padded[i]);
+        ws.solver.solve_read_set(rhs_entries, ws.x0);
+        in.x0_re[i] = ws.x0[out].real();
+        in.x0_im[i] = ws.x0[out].imag();
+        for (std::size_t si = 0; si < site_count; ++si) {
+          const mna::Rank1StampUpdate& update = sites[si].update;
+          ws.solver.solve_read_set(update.u.entries, ws.w);
+          Complex v_dot_x0{};
+          Complex v_dot_w{};
+          for (const auto& [index, value] : update.v.entries) {
+            v_dot_x0 += value * ws.x0[index];
+            v_dot_w += value * ws.w[index];
+          }
+          const std::size_t at = si * stride + i;
+          in.w_re[at] = ws.w[out].real();
+          in.w_im[at] = ws.w[out].imag();
+          in.vx0_re[at] = v_dot_x0.real();
+          in.vx0_im[at] = v_dot_x0.imag();
+          in.vw_re[at] = v_dot_w.real();
+          in.vw_im[at] = v_dot_w.imag();
+        }
+      });
+    } else {
+      par::parallel_for_lanes(batches, threads, [&](std::size_t lane,
+                                                    std::size_t batch) {
+        DenseLane<P>& ws = dense_lanes[lane];
+        ws.solver.factor(
+            std::span<const Complex>(s_padded).subspan(batch * kW, kW));
+        ws.solver.solve_shared(assembler.rhs(), ws.x0_re.data(),
+                               ws.x0_im.data());
+        if (site_count > 0) {
+          ws.solver.solve_shared_multi(u_columns, site_count, ws.w_re.data(),
+                                       ws.w_im.data());
+        }
+        const std::size_t at = batch * kW;
+        const std::size_t valid = std::min(kW, m - at);
+        // Store a pack's valid lanes (bounce through a stack buffer for
+        // the tail batch so a plane never takes padding lanes).
+        auto scatter = [&](const P& pack, AlignedVector& dst,
+                           std::size_t offset) {
+          if (valid == kW) {
+            pack.store(&dst[offset]);
+            return;
+          }
+          std::array<double, kW> bounce;
+          pack.store(bounce.data());
+          std::copy_n(bounce.data(), valid, &dst[offset]);
+        };
+        const C x0_out = C::load(&ws.x0_re[out * kW], &ws.x0_im[out * kW]);
+        scatter(x0_out.re, in.x0_re, at);
+        scatter(x0_out.im, in.x0_im, at);
+        for (std::size_t si = 0; si < site_count; ++si) {
+          const double* w_re = ws.w_re.data() + si * n * kW;
+          const double* w_im = ws.w_im.data() + si * n * kW;
+          C v_dot_x0{};
+          C v_dot_w{};
+          for (const auto& [index, value] : sites[si].update.v.entries) {
+            const C ve = C::broadcast(value);
+            v_dot_x0 = v_dot_x0 + ve * C::load(&ws.x0_re[index * kW],
+                                               &ws.x0_im[index * kW]);
+            v_dot_w = v_dot_w + ve * C::load(&w_re[index * kW],
+                                             &w_im[index * kW]);
+          }
+          const C w_out = C::load(&w_re[out * kW], &w_im[out * kW]);
+          const std::size_t slot = si * stride + at;
+          scatter(w_out.re, in.w_re, slot);
+          scatter(w_out.im, in.w_im, slot);
+          scatter(v_dot_x0.re, in.vx0_re, slot);
+          scatter(v_dot_x0.im, in.vx0_im, slot);
+          scatter(v_dot_w.re, in.vw_re, slot);
+          scatter(v_dot_w.im, in.vw_im, slot);
+        }
+      });
+    }
+    std::copy_n(in.x0_re.data(), m, &golden_re[begin]);
+    std::copy_n(in.x0_im.data(), m, &golden_im[begin]);
 
     par::parallel_for_lanes(site_count, threads, [&](std::size_t lane,
                                                      std::size_t si) {
@@ -293,61 +380,17 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
       SiteState& site = state[si];
       SiteLane& ws = site_lanes[lane];
       ws.ensure(m);
-
-      // Gather this site's per-frequency scalars as split re/im arrays,
-      // one pack of frequencies at a time (bounce through a stack buffer
-      // for the tail batch so the m-sized arrays never overrun).
-      for (std::size_t batch = 0; batch < batches; ++batch) {
-        const double* x0_re = slots.x0_re.data() + batch * n * kW;
-        const double* x0_im = slots.x0_im.data() + batch * n * kW;
-        const double* w_re =
-            slots.w_re.data() + batch * site_count * n * kW;
-        const double* w_im =
-            slots.w_im.data() + batch * site_count * n * kW;
-        C v_dot_x0{};
-        C v_dot_w{};
-        for (const auto& [index, value] : item.update.v.entries) {
-          const C ve = C::broadcast(value);
-          v_dot_x0 = v_dot_x0 + ve * C::load(&x0_re[index * kW],
-                                             &x0_im[index * kW]);
-          v_dot_w = v_dot_w + ve * C::load(&w_re[(si * n + index) * kW],
-                                           &w_im[(si * n + index) * kW]);
-        }
-        const C x0_out = C::load(&x0_re[out * kW], &x0_im[out * kW]);
-        const C w_out = C::load(&w_re[(si * n + out) * kW],
-                                &w_im[(si * n + out) * kW]);
-        const std::size_t at = batch * kW;
-        const std::size_t valid = std::min(kW, m - at);
-        auto scatter = [&](const P& pack, AlignedVector& dst) {
-          if (valid == kW) {
-            pack.store(&dst[at]);
-            return;
-          }
-          std::array<double, kW> bounce;
-          pack.store(bounce.data());
-          std::copy_n(bounce.data(), valid, &dst[at]);
-        };
-        scatter(v_dot_x0.re, ws.vx0_re);
-        scatter(v_dot_x0.im, ws.vx0_im);
-        scatter(v_dot_w.re, ws.vw_re);
-        scatter(v_dot_w.im, ws.vw_im);
-        scatter(x0_out.re, ws.x0_re);
-        scatter(x0_out.im, ws.x0_im);
-        scatter(w_out.re, ws.w_re);
-        scatter(w_out.im, ws.w_im);
-      }
-
+      const std::size_t at = si * stride;
       for (std::size_t k = 0; k < item.fault_indices.size(); ++k) {
         const ParametricFault& fault = faults[item.fault_indices[k]];
         fill_scale(item.update, fault.multiplier(), m, s_re_block.data(),
                    s_im_block.data(), ws.scale_re.data(),
                    ws.scale_im.data());
         const std::size_t refusals = linalg::sherman_morrison_sweep_simd<P>(
-            m, ws.scale_re.data(), ws.scale_im.data(), ws.vx0_re.data(),
-            ws.vx0_im.data(), ws.vw_re.data(), ws.vw_im.data(),
-            ws.x0_re.data(), ws.x0_im.data(), ws.w_re.data(),
-            ws.w_im.data(), options.max_growth, ws.out_re.data(),
-            ws.out_im.data(), ws.refused.data());
+            m, ws.scale_re.data(), ws.scale_im.data(), &in.vx0_re[at],
+            &in.vx0_im[at], &in.vw_re[at], &in.vw_im[at], in.x0_re.data(),
+            in.x0_im.data(), &in.w_re[at], &in.w_im[at], options.max_growth,
+            ws.out_re.data(), ws.out_im.data(), ws.refused.data());
         AlignedVector& re = site.re[k];
         AlignedVector& im = site.im[k];
         for (std::size_t bi = 0; bi < m; ++bi) {
@@ -397,15 +440,14 @@ BatchResult SimulationEngine::simulate_all(
       std::is_sorted(frequencies_hz.begin(), frequencies_hz.end()),
       "engine frequencies must ascend");
   const std::size_t threads = options_.resolved_threads();
-  const mna::AcAnalysis golden_analysis(cut_.circuit);
-  const mna::MnaSystem& system = golden_analysis.system();
+  const mna::MnaSystem system(cut_.circuit);
   const std::size_t out = system.node_unknown(cut_.output_node);
 
   BatchResult result;
   result.responses.resize(faults.size());
 
   // Reuse works on every size: the golden phase factors through the
-  // backend-neutral BatchSweepSolver (batched dense LU small, per-lane
+  // backend-neutral SweepSolver context (batched dense LU small, per-lane
   // pattern-reusing sparse LU large).  Only reuse-off configurations and
   // a ground output take the naive path, still fault-parallel.
   EngineMetrics& metrics = EngineMetrics::get();
@@ -417,7 +459,8 @@ BatchResult SimulationEngine::simulate_all(
 
   const bool reuse = options_.reuse_factorization && out != mna::kNoUnknown;
   if (!reuse) {
-    result.golden = golden_analysis.sweep(frequencies_hz, cut_.output_node);
+    result.golden = mna::AcAnalysis(cut_.circuit)
+                        .sweep(frequencies_hz, cut_.output_node);
     par::parallel_for(faults.size(), threads, [&](std::size_t i) {
       result.responses[i] = naive_response(cut_, faults[i], frequencies_hz);
     });
@@ -478,6 +521,22 @@ BatchResult SimulationEngine::simulate_all(
     state[si].refactorized.resize(sites[si].fault_indices.size());
   }
 
+  // The one symbolic analysis of the build.  On the sparse backend it
+  // orders the unknowns phase 1 reads last: the output, every site's u/v
+  // support and the excitation rows.
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  std::vector<std::size_t> read_set{out};
+  for (const SiteItem& item : sites) {
+    for (const auto* vec : {&item.update.u, &item.update.v}) {
+      for (const auto& entry : vec->entries) read_set.push_back(entry.first);
+    }
+  }
+  for (std::size_t i = 0; i < assembler.size(); ++i) {
+    if (assembler.rhs()[i] != Complex{}) read_set.push_back(i);
+  }
+  const auto context =
+      mna::SweepSolver::analyze(assembler, options_.backend, read_set);
+
   // The batched sweep: native-width packs normally, the width-1 scalar
   // twin when the FTDIAG_SIMD knob (build option or environment
   // variable) turns vectorization off.  Same formulas per lane either
@@ -486,11 +545,11 @@ BatchResult SimulationEngine::simulate_all(
   AlignedVector golden_re, golden_im;
   if (linalg::simd::enabled()) {
     reuse_sweep<linalg::simd::DefaultPack>(
-        cut_, options_, faults, frequencies_hz, golden_analysis, sites,
+        cut_, options_, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, golden_re, golden_im);
   } else {
     reuse_sweep<linalg::simd::ScalarPack>(
-        cut_, options_, faults, frequencies_hz, golden_analysis, sites,
+        cut_, options_, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, golden_re, golden_im);
   }
   result.golden = mna::AcResponse(frequencies_hz, std::move(golden_re),

@@ -5,13 +5,15 @@
 /// system for every fault x frequency pair.  A parametric fault perturbs
 /// exactly one component stamp, so per frequency the engine
 ///
-///   1. assembles and factorizes the *golden* system once — dense LU for
-///      small circuits, pattern-reusing sparse LU (mna::SweepSolver)
+///   1. assembles and factorizes the *golden* system once — batched dense
+///      LU for small circuits, pattern-reusing sparse LU (mna::SweepSolver)
 ///      beyond mna::SweepAssembler::kDenseLimit,
 ///   2. produces each faulty response from that factorization via a
 ///      Sherman–Morrison rank-1 update (linalg/rank1.hpp), solving one
-///      extra triangular pair per *fault site* and then sweeping all of
-///      the site's deviations in O(1) each,
+///      extra triangular pair per *fault site* — on the sparse backend
+///      only at the unknowns the update reads, which the build's one
+///      symbolic analysis orders last — and then sweeping all of the
+///      site's deviations in O(1) each,
 ///   3. falls back to a full refactorization for fault kinds whose stamp
 ///      is not a single dyad (op-amp macro parameters) and for updates the
 ///      stability check refuses as ill-conditioned.

@@ -14,10 +14,6 @@ namespace {
 /// Singularity threshold relative to the largest pivot candidate seen.
 constexpr double kPivotTolerance = 1e-13;
 
-/// Column-panel width of the blocked multi-RHS solve: the factor row and
-/// the active RHS rows stay resident while a panel's columns advance.
-constexpr std::size_t kSolvePanel = 48;
-
 }  // namespace
 
 template <typename T>
@@ -106,60 +102,8 @@ void LuFactorization<T>::solve_into(std::span<const T> b,
 }
 
 template <typename T>
-void LuFactorization<T>::solve_into(const Matrix<T>& b, Matrix<T>& x) const {
-  const std::size_t n = size();
-  const std::size_t m = b.cols();
-  FTDIAG_ASSERT(b.rows() == n, "rhs row count mismatch in LU solve");
-  if (x.rows() != n || x.cols() != m) x.reshape(n, m);
-
-  // X = P B: row i of X is row perm_[i] of B.
-  for (std::size_t i = 0; i < n; ++i) {
-    const T* src = b.row_data(perm_[i]);
-    T* dst = x.row_data(i);
-    for (std::size_t c = 0; c < m; ++c) dst[c] = src[c];
-  }
-
-  for (std::size_t panel = 0; panel < m; panel += kSolvePanel) {
-    const std::size_t pe = std::min(m, panel + kSolvePanel);
-    // Forward substitution, all panel columns in lockstep (L unit
-    // diagonal): per column this is exactly solve_into's j-ascending
-    // accumulation, just held in memory instead of a register.
-    for (std::size_t i = 0; i < n; ++i) {
-      const T* row = lu_.row_data(i);
-      T* xi = x.row_data(i);
-      for (std::size_t j = 0; j < i; ++j) {
-        const T factor = row[j];
-        if (factor == T{}) continue;
-        const T* xj = x.row_data(j);
-        for (std::size_t c = panel; c < pe; ++c) xi[c] -= factor * xj[c];
-      }
-    }
-    // Back substitution with U.
-    for (std::size_t ii = n; ii-- > 0;) {
-      const T* row = lu_.row_data(ii);
-      T* xi = x.row_data(ii);
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const T factor = row[j];
-        if (factor == T{}) continue;
-        const T* xj = x.row_data(j);
-        for (std::size_t c = panel; c < pe; ++c) xi[c] -= factor * xj[c];
-      }
-      const T pivot = row[ii];
-      for (std::size_t c = panel; c < pe; ++c) xi[c] /= pivot;
-    }
-  }
-}
-
-template <typename T>
 std::vector<T> LuFactorization<T>::solve(const std::vector<T>& b) const {
   std::vector<T> x(size());
-  solve_into(b, x);
-  return x;
-}
-
-template <typename T>
-Matrix<T> LuFactorization<T>::solve(const Matrix<T>& b) const {
-  Matrix<T> x;
   solve_into(b, x);
   return x;
 }
@@ -169,11 +113,6 @@ T LuFactorization<T>::determinant() const {
   T det = (swaps_ % 2 == 0) ? T{1} : T{-1};
   for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
   return det;
-}
-
-template <typename T>
-Matrix<T> LuFactorization<T>::inverse() const {
-  return solve(Matrix<T>::identity(size()));
 }
 
 template <typename T>

@@ -9,10 +9,7 @@
 ///   - factor_in_place() adopts a caller-assembled matrix by O(1) buffer
 ///     swap and hands the previous buffer back, so the caller re-assembles
 ///     into warm storage on the next frequency;
-///   - solve_into() writes into caller-owned memory, and its multi-RHS
-///     overload runs one blocked triangular solve over all columns at once
-///     (rows stay hot in cache while every RHS is advanced — BLAS-3 style
-///     instead of a column-at-a-time sweep).
+///   - solve_into() writes into caller-owned memory.
 /// See src/linalg/README.md for the workspace contract.
 #pragma once
 
@@ -47,25 +44,11 @@ public:
   /// Allocation-free.
   void solve_into(std::span<const T> b, std::span<T> x) const;
 
-  /// Blocked multi-RHS solve A X = B.  \p x is reshaped to b's shape when
-  /// needed (no-op — and no allocation — when already that shape).  All
-  /// columns advance together through one forward/backward pass over the
-  /// factor rows; column panels keep the active rows within cache for
-  /// wide right-hand sides.  Per column the operation order is exactly
-  /// solve_into's.
-  void solve_into(const Matrix<T>& b, Matrix<T>& x) const;
-
   /// Solve A x = b.  \p b must have size n.
   [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
 
-  /// Solve for several right-hand sides (columns of B).
-  [[nodiscard]] Matrix<T> solve(const Matrix<T>& b) const;
-
   /// Determinant of A (product of U diagonal times pivot sign).
   [[nodiscard]] T determinant() const;
-
-  /// Inverse of A (n solves against identity).
-  [[nodiscard]] Matrix<T> inverse() const;
 
   /// Cheap condition estimate: max|U_ii| / min|U_ii|.  A large value warns
   /// of an ill-conditioned MNA system (e.g. badly scaled components).

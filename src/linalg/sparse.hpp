@@ -1,14 +1,11 @@
 /// \file sparse.hpp
-/// \brief Sparse matrix support: COO assembly, CSR storage, and a
-/// row-list sparse LU with threshold partial pivoting.
+/// \brief COO (triplet) assembly of sparse matrices.
 ///
 /// MNA matrices of filter netlists are very sparse (a handful of entries
-/// per row).  The dense path is fine for the paper's seven-component CUT;
-/// the sparse path keeps large registry circuits (ladders with hundreds of
-/// sections) tractable and is exercised by the performance benchmarks.
+/// per row).  Stamps accumulate here; `SparseFactorization` (see
+/// sparse_factorization.hpp) factors and solves them.
 #pragma once
 
-#include <complex>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -54,68 +51,5 @@ private:
   std::size_t rows_, cols_;
   std::vector<Entry> entries_;
 };
-
-/// Compressed sparse row matrix (immutable once built).
-template <typename T>
-class CsrMatrix {
-public:
-  /// Build from COO, summing duplicates and dropping exact zeros.
-  explicit CsrMatrix(const CooMatrix<T>& coo);
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t nnz() const { return values_.size(); }
-
-  /// y = A x.
-  [[nodiscard]] std::vector<T> multiply(const std::vector<T>& x) const;
-
-  [[nodiscard]] Matrix<T> to_dense() const;
-
-  /// Row r as (column, value) pairs, columns ascending.
-  [[nodiscard]] std::vector<std::pair<std::size_t, T>> row(std::size_t r) const;
-
-private:
-  std::size_t rows_, cols_;
-  std::vector<std::size_t> row_start_;  ///< size rows_+1
-  std::vector<std::size_t> col_;
-  std::vector<T> values_;
-};
-
-/// Sparse LU with threshold partial pivoting over dynamic row lists.
-/// Fill-in is stored as it appears; suitable for the moderately sized,
-/// diagonally-dominant systems MNA produces.
-template <typename T>
-class SparseLu {
-public:
-  /// \param pivot_threshold in (0,1]: a diagonal entry is accepted as pivot
-  /// if its magnitude is at least threshold * (largest candidate); larger
-  /// values favour stability, smaller values favour sparsity.
-  explicit SparseLu(const CooMatrix<T>& a, double pivot_threshold = 0.1);
-
-  [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
-
-  [[nodiscard]] std::size_t size() const { return n_; }
-
-  /// Non-zeros in the combined L+U factors (fill-in indicator).
-  [[nodiscard]] std::size_t factor_nnz() const;
-
-private:
-  struct RowEntry {
-    std::size_t col;
-    T value;
-  };
-  std::size_t n_ = 0;
-  /// Unified factor rows: entries with col < row belong to L (multipliers),
-  /// col >= row to U.  Columns ascending.
-  std::vector<std::vector<RowEntry>> factor_;
-  std::vector<std::size_t> perm_;  ///< row i of PA is row perm_[i] of A
-};
-
-extern template class CooMatrix<double>;
-extern template class CooMatrix<std::complex<double>>;
-extern template class CsrMatrix<double>;
-extern template class CsrMatrix<std::complex<double>>;
-extern template class SparseLu<double>;
-extern template class SparseLu<std::complex<double>>;
 
 }  // namespace ftdiag::linalg

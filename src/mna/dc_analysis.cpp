@@ -1,6 +1,7 @@
 #include "mna/dc_analysis.hpp"
 
 #include "linalg/lu.hpp"
+#include "linalg/sparse_factorization.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::mna {
@@ -17,7 +18,7 @@ std::vector<double> DcAnalysis::solve() const {
   if (n <= SweepAssembler::kDenseLimit) {
     return linalg::LuFactorization<double>(matrix.to_dense()).solve(rhs);
   }
-  return linalg::SparseLu<double>(matrix).solve(rhs);
+  return linalg::SparseFactorization<double>(matrix).solve(rhs);
 }
 
 double DcAnalysis::node_voltage(const std::string& node) const {

@@ -7,7 +7,7 @@
 #include "circuits/ladders.hpp"
 #include "circuits/registry.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/sparse.hpp"
+#include "linalg/sparse_factorization.hpp"
 #include "netlist/circuit.hpp"
 #include "util/error.hpp"
 
@@ -106,11 +106,12 @@ void expect_dense_matches_sparse(const netlist::Circuit& circuit,
     dense = linalg::LuFactorization<double>(matrix.to_dense()).solve(rhs);
   } catch (const NumericError&) {
     // DC-singular circuit: both backends must agree on that, too.
-    EXPECT_THROW((void)linalg::SparseLu<double>(matrix), NumericError)
+    EXPECT_THROW((void)linalg::SparseFactorization<double>(matrix),
+                 NumericError)
         << context;
     return;
   }
-  const auto sparse = linalg::SparseLu<double>(matrix).solve(rhs);
+  const auto sparse = linalg::SparseFactorization<double>(matrix).solve(rhs);
   const auto via_analysis = dc.solve();
   double scale = 0.0;
   for (const double v : dense) scale = std::max(scale, std::fabs(v));

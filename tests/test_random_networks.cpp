@@ -9,10 +9,10 @@
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
 #include "linalg/lu.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/sparse_factorization.hpp"
 #include "mna/ac_analysis.hpp"
 #include "mna/dc_analysis.hpp"
+#include "mna/stamp_update.hpp"
 #include "netlist/circuit.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -119,7 +119,8 @@ TEST_P(RandomRcNetworkTest, SparseAndDenseSolversAgree) {
 
   const auto dense = linalg::LuFactorization<mna::Complex>(matrix.to_dense())
                          .solve(rhs);
-  const auto sparse = linalg::SparseLu<mna::Complex>(matrix).solve(rhs);
+  const auto sparse =
+      linalg::SparseFactorization<mna::Complex>(matrix).solve(rhs);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(std::abs(dense[i] - sparse[i]), 0.0, 1e-8);
   }
@@ -205,6 +206,54 @@ TEST(LargeLadder, SparseFactorizationMatchesDenseAt1000Nodes) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_LE(std::abs(xs[i] - xd[i]), 1e-9 * (std::abs(xd[i]) + scale))
         << "unknown " << i;
+  }
+}
+
+/// The fill-reducing order: a 30x30 RC mesh (901 unknowns) factored in
+/// natural column order fills to ~51k factor entries; minimum degree must
+/// keep it under 30k, with and without a read set ordered last.
+TEST(LargeLadder, MeshFactorFillStaysBounded) {
+  circuits::RcMeshDesign design;
+  design.rows = 30;
+  design.cols = 30;
+  design.testable_stride = 112;
+  const auto cut = circuits::make_rc_mesh(design);
+  const mna::MnaSystem system(cut.circuit);
+  const auto assembler = system.prepare_sweep();
+  const auto context =
+      mna::SweepSolver::analyze(assembler, mna::SolverBackend::kAuto);
+  ASSERT_TRUE(context->sparse);
+  EXPECT_LE(context->prototype.factor_nnz(), 30000u);
+
+  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  for (const auto& name : cut.testable) {
+    const auto update = mna::rank1_stamp_update(system, name);
+    ASSERT_TRUE(update.has_value()) << name;
+    for (const auto& [index, value] : update->v.entries) {
+      read_set.push_back(index);
+    }
+  }
+  const auto with_reads = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kAuto, read_set);
+  EXPECT_LE(with_reads->prototype.factor_nnz(), 30000u);
+
+  // The read-set solve agrees with the full solve wherever it is read.
+  mna::SweepSolver solver(assembler, with_reads);
+  solver.factor(
+      linalg::s_of_hz(std::sqrt(cut.band_low_hz * cut.band_high_hz)));
+  const std::size_t n = assembler.size();
+  std::vector<mna::Complex> full(n), reads(n);
+  solver.solve_into(assembler.rhs(), full);
+  std::vector<std::pair<std::size_t, mna::Complex>> rhs;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (assembler.rhs()[i] != mna::Complex{}) {
+      rhs.emplace_back(i, assembler.rhs()[i]);
+    }
+  }
+  solver.solve_read_set(rhs, reads);
+  for (std::size_t u : read_set) {
+    EXPECT_LE(std::abs(reads[u] - full[u]), 1e-12 * (1.0 + std::abs(full[u])))
+        << "unknown " << u;
   }
 }
 

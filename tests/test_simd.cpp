@@ -428,23 +428,6 @@ TEST(SparsePrefixSkip, MatchesDenseSolveOnSparseRhs) {
       expect_rel_close(xs[i].real(), xd[i].real(), "sparse re");
       expect_rel_close(xs[i].imag(), xd[i].imag(), "sparse im");
     }
-
-    // Blocked overload, shifted columns (different zero prefixes).
-    linalg::Matrix<Complex> bm(n, 2), xm;
-    for (std::size_t i = 0; i < n; ++i) {
-      bm(i, 0) = b[i];
-      bm(i, 1) = i + 5 < n ? b[i + 5] : Complex{};
-    }
-    sparse.solve_into(bm, xm);
-    for (std::size_t c = 0; c < 2; ++c) {
-      std::vector<Complex> col(n);
-      for (std::size_t i = 0; i < n; ++i) col[i] = bm(i, c);
-      const std::vector<Complex> ref = lu.solve(col);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_rel_close(xm(i, c).real(), ref[i].real(), "blocked re");
-        expect_rel_close(xm(i, c).imag(), ref[i].imag(), "blocked im");
-      }
-    }
   }
 }
 

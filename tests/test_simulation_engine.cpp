@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <vector>
 
 #include "circuits/ladders.hpp"
@@ -17,6 +18,7 @@
 #include "faults/fault_simulator.hpp"
 #include "faults/fault_universe.hpp"
 #include "mna/frequency_grid.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::faults {
@@ -289,6 +291,88 @@ TEST(SimulationEngine, LargeLadderBuildsThroughSparseReusePath) {
   for (std::size_t i = 0; i < faults.size(); ++i) {
     expect_close(sparse.responses[i], dense.responses[i], scale,
                  "large-ladder " + faults[i].label());
+  }
+}
+
+/// Every registry circuit — op-amp nullors, inductor and controlled-source
+/// branch rows included — built on the forced sparse backend: it must
+/// agree with the forced dense build and be bit-identical for any thread
+/// count.
+TEST(SimulationEngine, ForcedSparseMatchesDenseOnEveryRegistryCircuit) {
+  for (const auto& name : circuits::registry_names()) {
+    const auto cut = circuits::make_by_name(name);
+    const auto freqs = test_grid(cut);
+    const auto faults = FaultUniverse::over_testable(cut).enumerate();
+
+    SimOptions dense;
+    dense.backend = mna::SolverBackend::kDense;
+    const BatchResult reference =
+        SimulationEngine(cut, dense).simulate_all(faults, freqs);
+    const double scale = response_scale(reference.golden);
+
+    SimOptions sparse;
+    sparse.backend = mna::SolverBackend::kSparse;
+    sparse.threads = 1;
+    const BatchResult single =
+        SimulationEngine(cut, sparse).simulate_all(faults, freqs);
+    const std::string context = name + " forced sparse";
+    expect_close(single.golden, reference.golden, scale, context + " golden");
+    ASSERT_EQ(single.responses.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      expect_close(single.responses[i], reference.responses[i], scale,
+                   context + " " + faults[i].label());
+    }
+
+    for (std::size_t threads : {2u, 8u}) {
+      sparse.threads = threads;
+      const BatchResult batch =
+          SimulationEngine(cut, sparse).simulate_all(faults, freqs);
+      const std::string at = context + " threads=" + std::to_string(threads);
+      expect_identical(batch.golden, single.golden, at + " golden");
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        expect_identical(batch.responses[i], single.responses[i],
+                         at + " " + faults[i].label());
+      }
+    }
+  }
+}
+
+/// A 200-section RC ladder (past the dense limit) with a series LC from
+/// its middle node to ground, resonant exactly on one grid point: there
+/// the series branch is a short, a pivot frozen at the reference point
+/// collapses, and that frequency alone gets a fresh analysis.  The
+/// fallback must be counted and the build must still match the naive
+/// inject-and-sweep path.
+TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
+  circuits::RcLadderDesign design;
+  design.sections = 200;
+  design.testable_stride = 50;
+  auto cut = circuits::make_rc_ladder(design);
+  const double inductance = 1e-3;
+  const double capacitance = 1e-6;
+  cut.circuit.add_inductor("LX", "n100", "mx", inductance);
+  cut.circuit.add_capacitor("CX", "mx", "0", capacitance);
+  const double f0 = 1.0 / (2.0 * std::numbers::pi *
+                           std::sqrt(inductance * capacitance));
+  std::vector<double> freqs =
+      mna::FrequencyGrid::log_sweep(f0 / 10.0, f0 * 10.0, 21).frequencies();
+  freqs[10] = f0;
+  const auto faults = FaultUniverse::over_testable(cut).enumerate();
+
+  const obs::Counter& breakdowns = obs::Registry::global().counter(
+      "ftdiag_sparse_pivot_breakdowns_total");
+  const std::uint64_t before = breakdowns.value();
+  const BatchResult batch =
+      SimulationEngine(cut, SimOptions{}).simulate_all(faults, freqs);
+  EXPECT_GT(breakdowns.value(), before);
+  EXPECT_EQ(batch.stats.fallback_faults, 0u);
+
+  const Reference reference = naive_reference(cut, faults, freqs);
+  const double scale = response_scale(reference.golden);
+  expect_close(batch.golden, reference.golden, scale, "resonant golden");
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    expect_close(batch.responses[i], reference.responses[i], scale,
+                 "resonant " + faults[i].label());
   }
 }
 

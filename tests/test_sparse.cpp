@@ -1,11 +1,11 @@
-#include "linalg/sparse.hpp"
+#include "linalg/sparse_factorization.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 
 #include "linalg/lu.hpp"
-#include "linalg/sparse_factorization.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -29,208 +29,6 @@ TEST(Coo, ExactZerosDropped) {
   CooMatrix<double> coo(2, 2);
   coo.add(0, 0, 0.0);
   EXPECT_EQ(coo.entry_count(), 0u);
-}
-
-TEST(Csr, BuildsSortedRows) {
-  CooMatrix<double> coo(2, 3);
-  coo.add(0, 2, 3.0);
-  coo.add(0, 0, 1.0);
-  coo.add(1, 1, 2.0);
-  const CsrMatrix<double> csr(coo);
-  EXPECT_EQ(csr.nnz(), 3u);
-  const auto row0 = csr.row(0);
-  ASSERT_EQ(row0.size(), 2u);
-  EXPECT_EQ(row0[0].first, 0u);
-  EXPECT_EQ(row0[1].first, 2u);
-}
-
-TEST(Csr, DuplicatesSummedAndZerosCancelled) {
-  CooMatrix<double> coo(1, 2);
-  coo.add(0, 0, 2.0);
-  coo.add(0, 0, -2.0);
-  coo.add(0, 1, 5.0);
-  const CsrMatrix<double> csr(coo);
-  EXPECT_EQ(csr.nnz(), 1u);  // the cancelled entry vanished
-}
-
-TEST(Csr, MultiplyMatchesDense) {
-  Rng rng(7);
-  CooMatrix<double> coo(5, 5);
-  for (int k = 0; k < 12; ++k) {
-    coo.add(static_cast<std::size_t>(rng.uniform_int(0, 4)),
-            static_cast<std::size_t>(rng.uniform_int(0, 4)),
-            rng.uniform(-1.0, 1.0));
-  }
-  const CsrMatrix<double> csr(coo);
-  const auto dense = coo.to_dense();
-  std::vector<double> x(5);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  const auto y_sparse = csr.multiply(x);
-  const auto y_dense = dense * x;
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(y_sparse[i], y_dense[i], 1e-14);
-  }
-}
-
-TEST(SparseLu, SolvesSmallSystem) {
-  CooMatrix<double> coo(2, 2);
-  coo.add(0, 0, 2.0);
-  coo.add(0, 1, 1.0);
-  coo.add(1, 0, 1.0);
-  coo.add(1, 1, 3.0);
-  const SparseLu<double> lu(coo);
-  const auto x = lu.solve({5.0, 10.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SparseLu, RequiresSquare) {
-  CooMatrix<double> coo(2, 3);
-  coo.add(0, 0, 1.0);
-  EXPECT_THROW((void)SparseLu<double>(coo), NumericError);
-}
-
-TEST(SparseLu, SingularThrows) {
-  CooMatrix<double> coo(2, 2);
-  coo.add(0, 0, 1.0);
-  coo.add(1, 0, 1.0);  // column 1 empty -> singular
-  EXPECT_THROW((void)SparseLu<double>(coo), NumericError);
-}
-
-TEST(SparseLu, ZeroMatrixThrows) {
-  CooMatrix<double> coo(3, 3);
-  EXPECT_THROW((void)SparseLu<double>(coo), NumericError);
-}
-
-TEST(SparseLu, PermutedIdentity) {
-  CooMatrix<double> coo(3, 3);
-  coo.add(0, 2, 1.0);
-  coo.add(1, 0, 1.0);
-  coo.add(2, 1, 1.0);
-  const SparseLu<double> lu(coo);
-  const auto x = lu.solve({10.0, 20.0, 30.0});
-  EXPECT_NEAR(x[2], 10.0, 1e-12);
-  EXPECT_NEAR(x[0], 20.0, 1e-12);
-  EXPECT_NEAR(x[1], 30.0, 1e-12);
-}
-
-/// Property sweep: random sparse diagonally-dominant systems; sparse LU
-/// must match the dense solution.
-class SparseLuAgreementTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SparseLuAgreementTest, MatchesDenseSolver) {
-  const std::size_t n = GetParam();
-  Rng rng(500 + n);
-  CooMatrix<double> coo(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    coo.add(i, i, 4.0 + rng.uniform());
-    // A few off-diagonal entries per row.
-    for (int k = 0; k < 3; ++k) {
-      const std::size_t j = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      if (j != i) coo.add(i, j, rng.uniform(-1.0, 1.0));
-    }
-  }
-  std::vector<double> b(n);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-
-  const auto x_sparse = SparseLu<double>(coo).solve(b);
-  const auto x_dense = solve_dense(coo.to_dense(), b);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(x_sparse[i], x_dense[i], 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SparseLuAgreementTest,
-                         ::testing::Values(2, 5, 10, 25, 50, 100, 200));
-
-TEST(SparseLu, ComplexAgreesWithDense) {
-  Rng rng(42);
-  const std::size_t n = 20;
-  CooMatrix<C> coo(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    coo.add(i, i, C(3.0 + rng.uniform(), rng.uniform()));
-    const std::size_t j = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    if (j != i) coo.add(i, j, C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)));
-  }
-  std::vector<C> b(n);
-  for (auto& v : b) v = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
-  const auto xs = SparseLu<C>(coo).solve(b);
-  const auto xd = solve_dense(coo.to_dense(), b);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(xs[i] - xd[i]), 0.0, 1e-9);
-  }
-}
-
-TEST(SparseLu, FactorNnzReported) {
-  CooMatrix<double> coo(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) coo.add(i, i, 1.0);
-  const SparseLu<double> lu(coo);
-  EXPECT_EQ(lu.factor_nnz(), 3u);  // diagonal only, no fill-in
-  EXPECT_EQ(lu.size(), 3u);
-}
-
-TEST(SparseLu, InvalidPivotThresholdRejected) {
-  CooMatrix<double> coo(1, 1);
-  coo.add(0, 0, 1.0);
-  EXPECT_DEATH(SparseLu<double>(coo, 0.0), "pivot threshold");
-}
-
-/// Regression: elimination used to drop entries that cancelled to exactly
-/// 0.0, so two matrices with the SAME sparsity pattern produced factors
-/// with DIFFERENT structure — fatal for any pattern-reuse scheme.  In the
-/// first matrix the (1,1) entry cancels exactly during step 0
-/// (2 - 2*1 = 0); the second has the same pattern without cancellation.
-TEST(SparseLu, ExactCancellationKeepsFactorStructure) {
-  auto build = [](double a11) {
-    CooMatrix<double> coo(3, 3);
-    coo.add(0, 0, 2.0);
-    coo.add(0, 1, 1.0);
-    coo.add(1, 0, 4.0);
-    coo.add(1, 1, a11);
-    coo.add(1, 2, 1.0);
-    coo.add(2, 1, 1.0);
-    coo.add(2, 2, 1.0);
-    return coo;
-  };
-  const CooMatrix<double> cancelling = build(2.0);   // det = -2, nonsingular
-  const CooMatrix<double> plain = build(5.0);        // det = 4
-
-  const SparseLu<double> lu_cancel(cancelling);
-  const SparseLu<double> lu_plain(plain);
-  EXPECT_EQ(lu_cancel.factor_nnz(), lu_plain.factor_nnz())
-      << "factor structure depended on values, not just the pattern";
-
-  // Both still solve correctly against the dense reference.
-  const std::vector<double> b{1.0, 2.0, 3.0};
-  auto check = [&](const CooMatrix<double>& coo, const SparseLu<double>& lu) {
-    const auto xs = lu.solve(b);
-    const auto xd = solve_dense(coo.to_dense(), b);
-    for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-12);
-  };
-  check(cancelling, lu_cancel);
-  check(plain, lu_plain);
-}
-
-/// Entries of the INPUT that sum to exactly zero are structural too: the
-/// row build must keep them for the same reason the elimination does.
-TEST(SparseLu, InputEntriesCancellingToZeroStayStructural) {
-  auto build = [](double extra) {
-    CooMatrix<double> coo(2, 2);
-    coo.add(0, 0, 1.0);
-    coo.add(0, 1, 1.0);
-    coo.add(0, 1, extra);  // duplicate stamp; -1 cancels the entry exactly
-    coo.add(1, 0, 1.0);
-    coo.add(1, 1, 3.0);
-    return coo;
-  };
-  const SparseLu<double> cancelled(build(-1.0));
-  const SparseLu<double> kept(build(1.0));
-  EXPECT_EQ(cancelled.factor_nnz(), kept.factor_nnz());
-  const auto x = cancelled.solve({2.0, 5.0});
-  EXPECT_NEAR(x[0], 2.0, 1e-12);  // [[1,0],[1,3]] x = [2,5]
-  EXPECT_NEAR(x[1], 1.0, 1e-12);
 }
 
 // ---------------------------------------------------- SparseFactorization
@@ -257,10 +55,38 @@ TEST(SparseFactorization, RequiresSquareAndNonZero) {
   EXPECT_THROW((void)SparseFactorization<double>(zero), NumericError);
 }
 
-/// The core contract: analyze once, refill with OTHER same-pattern values,
-/// and match the dense solution of the new values — including a matrix
-/// that produces exact cancellation during elimination.
-TEST(SparseFactorization, RefactorMatchesDenseForNewValues) {
+TEST(SparseFactorization, SingularThrows) {
+  CooMatrix<double> coo(2, 2);
+  coo.add(0, 0, 1.0);
+  coo.add(1, 0, 1.0);  // column 1 empty -> singular
+  EXPECT_THROW((void)SparseFactorization<double>(coo), NumericError);
+}
+
+TEST(SparseFactorization, InvalidPivotThresholdRejected) {
+  CooMatrix<double> coo(1, 1);
+  coo.add(0, 0, 1.0);
+  EXPECT_DEATH(SparseFactorization<double>(coo, {}, 0.0), "pivot threshold");
+}
+
+TEST(SparseFactorization, PermutedIdentity) {
+  CooMatrix<double> coo(3, 3);
+  coo.add(0, 2, 1.0);
+  coo.add(1, 0, 1.0);
+  coo.add(2, 1, 1.0);
+  const SparseFactorization<double> f(coo);
+  EXPECT_EQ(f.factor_nnz(), 3u);  // pure permutation, no fill-in
+  const auto x = f.solve({10.0, 20.0, 30.0});
+  EXPECT_NEAR(x[2], 10.0, 1e-12);
+  EXPECT_NEAR(x[0], 20.0, 1e-12);
+  EXPECT_NEAR(x[1], 30.0, 1e-12);
+}
+
+/// Elimination must keep entries that cancel to exactly 0.0, so two
+/// matrices with the SAME sparsity pattern produce factors with the same
+/// structure.  In the first matrix the (1,1) entry cancels exactly during
+/// the elimination (2 - 2*1 = 0); the second has the same pattern without
+/// cancellation.
+TEST(SparseFactorization, ExactCancellationKeepsFactorStructure) {
   auto build = [](double a11) {
     CooMatrix<double> coo(3, 3);
     coo.add(0, 0, 2.0);
@@ -272,17 +98,88 @@ TEST(SparseFactorization, RefactorMatchesDenseForNewValues) {
     coo.add(2, 2, 1.0);
     return coo;
   };
-  SparseFactorization<double> f(build(5.0));
+  const CooMatrix<double> cancelling = build(2.0);  // det = -2, nonsingular
+  const CooMatrix<double> plain = build(5.0);       // det = 4
+  const SparseFactorization<double> f_cancel(cancelling);
+  const SparseFactorization<double> f_plain(plain);
+  EXPECT_EQ(f_cancel.factor_nnz(), f_plain.factor_nnz())
+      << "factor structure depended on values, not just the pattern";
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  for (const auto* coo : {&cancelling, &plain}) {
+    const auto xs = SparseFactorization<double>(*coo).solve(b);
+    const auto xd = solve_dense(coo->to_dense(), b);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-12);
+  }
+}
+
+/// Entries of the INPUT that sum to exactly zero are structural too.
+TEST(SparseFactorization, InputEntriesCancellingToZeroStayStructural) {
+  auto build = [](double extra) {
+    CooMatrix<double> coo(2, 2);
+    coo.add(0, 0, 1.0);
+    coo.add(0, 1, 1.0);
+    coo.add(0, 1, extra);  // duplicate stamp; -1 cancels the entry exactly
+    coo.add(1, 0, 1.0);
+    coo.add(1, 1, 3.0);
+    return coo;
+  };
+  const SparseFactorization<double> cancelled(build(-1.0));
+  const SparseFactorization<double> kept(build(1.0));
+  EXPECT_EQ(cancelled.factor_nnz(), kept.factor_nnz());
+  EXPECT_NO_THROW((void)cancelled.slot(0, 1));
+  const auto x = cancelled.solve({2.0, 5.0});
+  EXPECT_NEAR(x[0], 2.0, 1e-12);  // [[1,0],[1,3]] x = [2,5]
+  EXPECT_NEAR(x[1], 1.0, 1e-12);
+}
+
+/// Arrow matrix: a hub row/column coupled to every other unknown.  Any
+/// order that eliminates the hub first fills the whole matrix; minimum
+/// degree eliminates the leaves first and fills nothing.
+TEST(SparseFactorization, MinimumDegreeOrderAvoidsFill) {
+  const std::size_t n = 40;
+  CooMatrix<double> coo(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    coo.add(i, i, 4.0 + static_cast<double>(i));
+    if (i > 0) {
+      coo.add(0, i, 1.0);
+      coo.add(i, 0, 1.0);
+    }
+  }
+  const SparseFactorization<double> f(coo);
+  EXPECT_EQ(f.factor_nnz(), 3 * n - 2);
+  std::vector<double> b(n, 1.0);
+  const auto xs = f.solve(b);
+  const auto xd = solve_dense(coo.to_dense(), b);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-12);
+}
+
+/// The core contract: analyze once, refill with OTHER same-pattern values,
+/// and match the dense solution of the new values — including values
+/// whose elimination cancels a factor entry to exactly zero.
+TEST(SparseFactorization, RefactorMatchesDenseForNewValues) {
+  auto build = [](double a12) {
+    CooMatrix<double> coo(3, 3);
+    coo.add(0, 0, 2.0);
+    coo.add(0, 1, 1.0);
+    coo.add(0, 2, 1.0);
+    coo.add(1, 0, 4.0);
+    coo.add(1, 1, 5.0);
+    coo.add(1, 2, a12);
+    coo.add(2, 1, 1.0);
+    coo.add(2, 2, 1.0);
+    return coo;
+  };
+  SparseFactorization<double> f(build(3.0));
   const std::size_t nnz = f.factor_nnz();
   const std::vector<double> b{1.0, -2.0, 3.0};
-  for (double a11 : {7.0, 2.0 /* exact cancellation */, -3.0}) {
-    const auto coo = build(a11);
+  for (double a12 : {7.0, 2.0 /* exact cancellation: 2 - 2*1 */, -3.0}) {
+    const auto coo = build(a12);
     f.refactor(coo);
     EXPECT_EQ(f.factor_nnz(), nnz) << "pattern must never change";
     const auto xs = f.solve(b);
     const auto xd = solve_dense(coo.to_dense(), b);
     for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_NEAR(xs[i], xd[i], 1e-12) << "a11=" << a11;
+      EXPECT_NEAR(xs[i], xd[i], 1e-12) << "a12=" << a12;
     }
   }
 }
@@ -422,9 +319,9 @@ TEST_P(SparseFactorizationAgreementTest, RefactorMatchesDenseSolver) {
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseFactorizationAgreementTest,
                          ::testing::Values(2, 5, 10, 25, 50, 100, 200));
 
-TEST(SparseFactorization, ComplexBlockedMultiRhsMatchesSingleSolves) {
-  Rng rng(77);
-  const std::size_t n = 60;
+/// Random complex system with a few off-diagonals per row.
+CooMatrix<C> random_complex_system(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
   CooMatrix<C> coo(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     coo.add(i, i, C(3.0 + rng.uniform(), rng.uniform()));
@@ -436,26 +333,73 @@ TEST(SparseFactorization, ComplexBlockedMultiRhsMatchesSingleSolves) {
       }
     }
   }
-  const SparseFactorization<C> f(coo);
-  const std::size_t m = 7;
-  Matrix<C> b(n, m);
+  return coo;
+}
+
+TEST(SparseFactorization, ComplexAgreesWithDense) {
+  const std::size_t n = 60;
+  const CooMatrix<C> coo = random_complex_system(n, 77);
+  Rng rng(78);
+  std::vector<C> b(n);
+  for (auto& v : b) v = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  const auto xs = SparseFactorization<C>(coo).solve(b);
+  const auto xd = solve_dense(coo.to_dense(), b);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      b(i, j) = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    EXPECT_NEAR(std::abs(xs[i] - xd[i]), 0.0, 1e-11);
+  }
+}
+
+/// The trailing solve must reproduce the full solve at every trailing
+/// unknown, for right-hand sides inside and outside the trailing rows.
+TEST(SparseFactorization, TrailingSolveMatchesFullSolveOnTrailingSet) {
+  const std::size_t n = 80;
+  const CooMatrix<C> coo = random_complex_system(n, 91);
+  const std::vector<std::size_t> trailing{3, 17, 18, 42, 79};
+  const SparseFactorization<C> f(coo, trailing);
+  Rng rng(92);
+  std::vector<C> x(n, C(1e300, 0.0));  // stale scratch must not leak in
+  for (const std::vector<std::size_t>& rows :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{17},
+        std::vector<std::size_t>{3, 79}, std::vector<std::size_t>{0, 42},
+        std::vector<std::size_t>{55, 56, 18}}) {
+    std::vector<std::pair<std::size_t, C>> entries;
+    std::vector<C> b(n, C{});
+    for (std::size_t r : rows) {
+      const C v(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+      entries.emplace_back(r, v);
+      b[r] += v;
+    }
+    f.solve_trailing(entries, x);
+    const auto full = f.solve(b);
+    for (std::size_t u : trailing) {
+      EXPECT_NEAR(std::abs(x[u] - full[u]), 0.0,
+                  1e-12 * (1.0 + std::abs(full[u])))
+          << "unknown " << u << " with " << rows.size() << " rhs rows";
     }
   }
-  Matrix<C> x;
-  f.solve_into(b, x);
-  ASSERT_EQ(x.rows(), n);
-  ASSERT_EQ(x.cols(), m);
-  std::vector<C> col(n), xc(n);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
-    f.solve_into(col, xc);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(std::abs(x(i, j) - xc[i]), 0.0, 1e-11);
-    }
+}
+
+/// slot() + values() + refactor() is the same refactorization as
+/// refactor(coo).
+TEST(SparseFactorization, SlotRefillMatchesCooRefactor) {
+  const std::size_t n = 50;
+  const CooMatrix<C> first = random_complex_system(n, 5);
+  CooMatrix<C> second(n, n);
+  Rng rng(6);
+  for (const auto& e : first.entries()) {
+    second.add(e.row, e.col, e.value * C(rng.uniform(0.5, 2.0), 0.0));
   }
+  const std::vector<std::size_t> trailing{1, 2, 30};
+  SparseFactorization<C> by_coo(first, trailing);
+  SparseFactorization<C> by_slot = by_coo;
+  by_coo.refactor(second);
+  std::fill(by_slot.values().begin(), by_slot.values().end(), C{});
+  for (const auto& e : second.entries()) {
+    by_slot.values()[by_slot.slot(e.row, e.col)] += e.value;
+  }
+  by_slot.refactor();
+  std::vector<C> b(n, C(1.0, -0.5));
+  EXPECT_EQ(by_coo.solve(b), by_slot.solve(b));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// Allocation-count guard of the sweep hot path: global operator new is
 /// replaced with a counting wrapper, the distilled per-frequency loop
-/// (split G+sC assembly -> in-place factor -> golden solve -> blocked
-/// multi-RHS solve -> split re/im Sherman–Morrison sweep) must perform
+/// (split G+sC assembly -> in-place factor -> golden solve -> one solve
+/// per site -> split re/im Sherman–Morrison sweep) must perform
 /// ZERO heap allocations once its buffers are warm, and the full engine's
 /// allocation count must be independent of the frequency-grid size (the
 /// per-frequency inner loop allocates nothing; only per-fault result
@@ -13,6 +13,7 @@
 #include <new>
 #include <vector>
 
+#include "circuits/ladders.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
 #include "faults/fault_universe.hpp"
@@ -90,8 +91,8 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
   const std::size_t out = system.node_unknown(cut.output_node);
   ASSERT_NE(out, mna::kNoUnknown);
 
-  // Structural u/v pairs of the first few rank-1-capable sites, packed as
-  // one multi-RHS block exactly as the engine solves them.
+  // Structural u/v pairs of the first few rank-1-capable sites, with
+  // their u columns densified for one solve each.
   std::vector<mna::Rank1StampUpdate> updates;
   for (const auto& component : system.circuit().components()) {
     if (auto update = mna::rank1_stamp_update(system, component.name)) {
@@ -101,12 +102,8 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
   }
   ASSERT_FALSE(updates.empty());
   const std::size_t site_count = updates.size();
-  linalg::Matrix<Complex> u_columns(n, site_count);
-  for (std::size_t si = 0; si < site_count; ++si) {
-    for (const auto& [index, value] : updates[si].u.entries) {
-      u_columns(index, si) += value;
-    }
-  }
+  std::vector<std::vector<Complex>> u_columns;
+  for (const auto& update : updates) u_columns.push_back(update.u.densify(n));
 
   const std::vector<double> freqs =
       mna::FrequencyGrid::log_sweep(10.0, 100e3, 240).frequencies();
@@ -116,7 +113,7 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
   linalg::Matrix<Complex> a;
   linalg::LuFactorization<Complex> lu;
   std::vector<Complex> x0(n);
-  linalg::Matrix<Complex> w;
+  std::vector<std::vector<Complex>> w(site_count, std::vector<Complex>(n));
   std::vector<double> x0_re(f_count), x0_im(f_count), w_re(f_count),
       w_im(f_count), vx0_re(f_count), vx0_im(f_count), vw_re(f_count),
       vw_im(f_count), scale_re(f_count), scale_im(f_count),
@@ -128,17 +125,17 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
     assembler.assemble(s, a);
     lu.factor_in_place(a);
     lu.solve_into(assembler.rhs(), x0);
-    lu.solve_into(u_columns, w);
+    for (std::size_t si = 0; si < site_count; ++si) {
+      lu.solve_into(u_columns[si], w[si]);
+    }
     const Complex v_dot_x0 = linalg::sparse_dot(
         updates[0].v, std::span<const Complex>(x0));
-    Complex v_dot_w{};
-    for (const auto& [index, value] : updates[0].v.entries) {
-      v_dot_w += value * w(index, 0);
-    }
+    const Complex v_dot_w = linalg::sparse_dot(
+        updates[0].v, std::span<const Complex>(w[0]));
     x0_re[fi] = x0[out].real();
     x0_im[fi] = x0[out].imag();
-    w_re[fi] = w(out, 0).real();
-    w_im[fi] = w(out, 0).imag();
+    w_re[fi] = w[0][out].real();
+    w_im[fi] = w[0][out].imag();
     vx0_re[fi] = v_dot_x0.real();
     vx0_im[fi] = v_dot_x0.imag();
     vw_re[fi] = v_dot_w.real();
@@ -174,8 +171,8 @@ TEST(ZeroAllocation, SweepInnerLoopIsAllocationFreeAfterWarmup) {
 /// The whole engine's allocation count must not scale with the frequency
 /// grid: per-fault result storage is one vector each regardless of
 /// length, and the per-frequency loop is allocation-free.
-std::size_t engine_allocation_count(std::size_t grid_points) {
-  const auto cut = circuits::make_paper_cut();
+std::size_t engine_allocation_count(const circuits::CircuitUnderTest& cut,
+                                    std::size_t grid_points) {
   const auto faults_list =
       faults::FaultUniverse::over_testable(cut).enumerate();
   const std::vector<double> freqs =
@@ -194,12 +191,20 @@ std::size_t engine_allocation_count(std::size_t grid_points) {
 }
 
 TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
-  const std::size_t at_40 = engine_allocation_count(40);
-  const std::size_t at_400 = engine_allocation_count(400);
-  // A single allocation per frequency would add >= 360 here; allow a
-  // small constant of slack for block bookkeeping.
-  EXPECT_LE(at_400, at_40 + 64)
-      << "engine allocations grew with the frequency grid";
+  // The paper CUT runs the dense batched path; a 200-section ladder (202
+  // unknowns) runs the sparse refactor + read-set solves.
+  circuits::RcLadderDesign ladder;
+  ladder.sections = 200;
+  ladder.testable_stride = 50;
+  for (const auto& cut :
+       {circuits::make_paper_cut(), circuits::make_rc_ladder(ladder)}) {
+    const std::size_t at_40 = engine_allocation_count(cut, 40);
+    const std::size_t at_400 = engine_allocation_count(cut, 400);
+    // A single allocation per frequency would add >= 360 here; allow a
+    // small constant of slack for block bookkeeping.
+    EXPECT_LE(at_400, at_40 + 64)
+        << cut.name << ": engine allocations grew with the frequency grid";
+  }
 }
 
 }  // namespace

@@ -362,7 +362,8 @@ BENCHMARK(BM_NetThroughput)->Arg(1)->Arg(2)->Arg(4)
 
 /// Requests/sec through the DiagnosisService vs dispatcher threads: four
 /// producers submit single-point requests as fast as the bounded queue
-/// accepts them.
+/// accepts them.  The service is built once, outside the timed loop, so
+/// the worker count changes serving cost only, not thread start-up.
 void BM_ServiceThroughput(benchmark::State& state) {
   static Session* session = nullptr;
   if (session == nullptr) {
@@ -380,10 +381,10 @@ void BM_ServiceThroughput(benchmark::State& state) {
   ServiceOptions options;
   options.workers = static_cast<std::size_t>(state.range(0));
   options.max_batch = 32;
+  service::DiagnosisService service(options);
+  service.add_session("paper", *session);
   std::size_t served = 0;
   for (auto _ : state) {
-    service::DiagnosisService service(options);
-    service.add_session("paper", *session);
     constexpr std::size_t kProducers = 4;
     std::vector<std::future<service::DiagnosisReply>> futures(points.size());
     std::vector<std::thread> producers;

@@ -23,7 +23,8 @@ std::string next_instance_label() {
 
 /// One queued item for the writer thread: either a frame that is already
 /// encoded (pong, error) or a pending diagnosis whose future the writer
-/// waits on.  FIFO order in this queue *is* the reply order on the wire.
+/// waits on.  FIFO order in this queue *is* the reply order on the wire,
+/// and its length is the connection's in-flight request count.
 struct Outgoing {
   std::string ready_frame;  ///< non-empty: send as-is
   std::uint64_t request_id = 0;
@@ -126,11 +127,10 @@ void Server::accept_loop() {
     // The reader arms/disarms the recv bound itself around payload
     // reads; the send bound guards every writer flush.
     conn->socket.set_send_timeout(options_.send_timeout_ms);
-    Connection& ref = *conn;
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(std::move(conn));
-    }
+    // Start the threads under the lock, so reap_finished never reads a
+    // thread handle while it is being assigned.
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    Connection& ref = *connections_.emplace_back(std::move(conn));
     ref.reader = std::thread([this, &ref] { reader_loop(ref); });
     ref.writer = std::thread([this, &ref] { writer_loop(ref); });
   }
@@ -140,12 +140,17 @@ void Server::reader_loop(Connection& conn) {
   char header_bytes[kFrameHeaderBytes];
   std::string payload;
 
-  auto enqueue = [&](Outgoing item) {
+  // Each frame pushes one outbox entry and only this thread pushes, so the
+  // room found before a submit is still there when its future is pushed.
+  auto wait_for_room = [&] {
     std::unique_lock<std::mutex> lock(conn.mutex);
     conn.space_cv.wait(lock, [&] {
       return conn.outbox.size() < options_.max_inflight || conn.broken ||
              stopping_.load(std::memory_order_acquire);
     });
+  };
+  auto enqueue = [&](Outgoing item) {
+    std::lock_guard<std::mutex> lock(conn.mutex);
     conn.outbox.push_back(std::move(item));
     conn.cv.notify_one();
   };
@@ -164,6 +169,7 @@ void Server::reader_loop(Connection& conn) {
     } catch (const NetError&) {
       break;  // reset / mid-frame disconnect: nothing to answer
     }
+    wait_for_room();
 
     FrameHeader header;
     try {
@@ -285,6 +291,14 @@ void Server::writer_loop(Connection& conn) {
       conn.cv.wait(lock,
                    [&] { return !conn.outbox.empty() || conn.reader_done; });
       if (conn.outbox.empty()) break;  // reader done and outbox drained
+      // The head stays queued (in flight) until its reply is ready; the
+      // reader only appends, which leaves the head in place.
+      Outgoing& head = conn.outbox.front();
+      if (head.pending.valid()) {
+        lock.unlock();
+        head.pending.wait();
+        lock.lock();
+      }
       item = std::move(conn.outbox.front());
       conn.outbox.pop_front();
       conn.space_cv.notify_one();
@@ -295,8 +309,7 @@ void Server::writer_loop(Connection& conn) {
     bool is_error = false;
     bool is_overloaded = false;
     // kReplySend: encoding + writing a diagnosis reply.  The future wait
-    // above it is solve/score time and is traced in the service, so the
-    // span starts only once the reply is in hand.
+    // above is solve/score time and is traced in the service.
     std::optional<obs::Span> send_span;
     if (!item.ready_frame.empty()) {
       frame = std::move(item.ready_frame);

@@ -3,12 +3,15 @@
 /// decodes wire frames, dispatches into a process-wide DiagnosisService.
 ///
 /// Threading model — per connection, two threads:
-///  * a *reader* that pulls frames off the socket, decodes them, submits
-///    diagnose requests to the service, and appends the resulting futures
-///    to an ordered outbox (bounded by max_inflight for backpressure);
-///  * a *writer* that drains the outbox in FIFO order, waits each future,
-///    and serializes every socket write — replies leave in the order the
-///    requests arrived, which is what makes client pipelining simple.
+///  * a *reader* that pulls frames off the socket, waits until the
+///    ordered outbox has room (max_inflight entries at most), then decodes
+///    each frame, submits diagnose requests to the service and appends the
+///    resulting futures to the outbox;
+///  * a *writer* that waits for the reply at the head of the outbox, pops
+///    it only then (so an entry counts as in flight until its reply is
+///    ready) and serializes every socket write — replies leave in the
+///    order the requests arrived, which is what makes client pipelining
+///    simple.
 ///
 /// Error isolation: a malformed payload, unknown message type, unknown
 /// circuit, or service failure answers with an error frame on *that*

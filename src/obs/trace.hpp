@@ -8,7 +8,7 @@
 ///   net_recv       frame header seen -> request decoded & submitted
 ///   queue_wait     batch's oldest request enqueued -> batch processing
 ///                  starts (one sample per batch: its worst-case wait)
-///   batch_coalesce first pop of a batch -> scoop + linger finished
+///   batch_coalesce first pop of a batch -> same-circuit scoop finished
 ///   dict_fetch     DictionaryStore::get (memory / disk / build tiers)
 ///   solve          session diagnose_batch wall time
 ///   score          splitting batch results + completing futures

@@ -35,9 +35,6 @@ void ServiceOptions::check() const {
   if (max_batch == 0) {
     throw ConfigError("service max_batch must be >= 1");
   }
-  if (max_linger.count() < 0) {
-    throw ConfigError("service max_linger must be >= 0");
-  }
   if (shed_high_water > queue_capacity) {
     throw ConfigError("service shed_high_water must be <= queue_capacity");
   }
@@ -131,18 +128,12 @@ std::future<DiagnosisReply> DiagnosisService::submit(
     // every caller queue into a deadline it can no longer meet.
     if (options_.shed_high_water > 0 &&
         queue_.size() >= options_.shed_high_water && request.priority == 0) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.shed;
-      }
+      counters_.shed.inc();
       throw OverloadError(
           "service queue is over its high-water mark; retry later");
     }
     if (queue_.size() >= options_.queue_capacity) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.queue_full_waits;
-      }
+      counters_.queue_full_waits.inc();
       const auto admitted = [&] {
         return stopping_ || queue_.size() < options_.queue_capacity;
       };
@@ -150,10 +141,7 @@ std::future<DiagnosisReply> DiagnosisService::submit(
       // failing at admission is the whole point of carrying the deadline.
       if (deadline) {
         if (!space_cv_.wait_until(lock, *deadline, admitted)) {
-          {
-            std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            ++stats_.deadline_expired;
-          }
+          counters_.deadline_expired.inc();
           throw DeadlineError("request expired waiting for queue space");
         }
       } else {
@@ -163,13 +151,12 @@ std::future<DiagnosisReply> DiagnosisService::submit(
     }
     Pending pending{std::move(request), {}, arrival, deadline};
     future = pending.promise.get_future();
+    // Counted before a dispatcher can see the request, so completed +
+    // failed never runs ahead of submitted.
+    counters_.submitted.inc();
     queue_.push_back(std::move(pending));
   }
   queue_cv_.notify_one();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.submitted;
-  }
   return future;
 }
 
@@ -183,42 +170,21 @@ void DiagnosisService::worker_loop() {
     queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping and fully drained
 
+    // Work-conserving: take the head request plus every queued request for
+    // its circuit (up to max_batch) and run at once.  Batches grow only
+    // from the backlog built while every dispatcher was busy.
+    obs::Span coalesce_span(obs::Stage::kBatchCoalesce);
     std::vector<Pending> batch;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
     const std::string circuit = batch.front().request.circuit;
-    // Covers scoop + linger: how long assembling this batch delayed its
-    // first request.
-    obs::Span coalesce_span(obs::Stage::kBatchCoalesce);
-
-    // Coalesce every queued request for the same circuit, newest included,
-    // up to the batch bound.
-    auto scoop = [&] {
-      for (auto it = queue_.begin();
-           it != queue_.end() && batch.size() < options_.max_batch;) {
-        if (it->request.circuit == circuit) {
-          batch.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
-    scoop();
-
-    // Linger briefly for stragglers — but never while unrelated requests
-    // sit in the queue (they belong to another batch, and holding them
-    // hostage would trade their latency for our batch size).
-    if (batch.size() < options_.max_batch && options_.max_linger.count() > 0) {
-      const auto deadline = Clock::now() + options_.max_linger;
-      while (batch.size() < options_.max_batch && !stopping_ &&
-             queue_.empty()) {
-        if (queue_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          scoop();
-          break;
-        }
-        scoop();
+    for (auto it = queue_.begin();
+         it != queue_.end() && batch.size() < options_.max_batch;) {
+      if (it->request.circuit == circuit) {
+        batch.push_back(std::move(*it));
+        it = queue_.erase(it);
+      } else {
+        ++it;
       }
     }
 
@@ -246,12 +212,9 @@ std::optional<Session> DiagnosisService::find_session(
 }
 
 void DiagnosisService::process_batch(std::vector<Pending> batch) {
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.batches;
-    stats_.batched_requests += batch.size();
-    stats_.largest_batch = std::max(stats_.largest_batch, batch.size());
-  }
+  counters_.batches.inc();
+  counters_.batched_requests.inc(batch.size());
+  counters_.largest_batch.max_of(static_cast<std::int64_t>(batch.size()));
   if (obs::enabled()) {
     // One sample per batch, for the batch's *oldest* request (the one
     // popped first, so it waited longest).  This is the batch's
@@ -291,10 +254,7 @@ void DiagnosisService::process_batch(std::vector<Pending> batch) {
       // Pre-solve deadline gate: a request that expired in the queue
       // fails here instead of consuming its share of the solve.
       if (batch[i].deadline && pre_solve > *batch[i].deadline) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.deadline_expired;
-        }
+        counters_.deadline_expired.inc();
         throw DeadlineError("request expired in the queue before its solve");
       }
       for (const auto& point : batch[i].request.points) {
@@ -356,20 +316,14 @@ void DiagnosisService::finish(Pending& pending, DiagnosisReply reply,
   } else {
     latency_us_.observe(us > 0.0 ? us : 0.0);
   }
-  {
-    // Count before completing the future, so a caller that joined its
-    // reply always observes the request in the counters.
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.completed;
-  }
+  // Count before completing the future, so a caller that joined its
+  // reply always observes the request in the counters.
+  counters_.completed.inc();
   pending.promise.set_value(std::move(reply));
 }
 
 void DiagnosisService::fail(Pending& pending, std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.failed;
-  }
+  counters_.failed.inc();
   pending.promise.set_exception(std::move(error));
 }
 
@@ -379,8 +333,19 @@ ServiceStats DiagnosisService::stats() const {
     std::lock_guard<std::mutex> queue_lock(queue_mutex_);
     depth = queue_.size();
   }
-  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-  ServiceStats snapshot = stats_;
+  ServiceStats snapshot;
+  // Outcomes first: a request counts as submitted before it can complete,
+  // so this order keeps completed + failed from reading ahead of it.
+  snapshot.completed = counters_.completed.value();
+  snapshot.failed = counters_.failed.value();
+  snapshot.submitted = counters_.submitted.value();
+  snapshot.batches = counters_.batches.value();
+  snapshot.batched_requests = counters_.batched_requests.value();
+  snapshot.largest_batch =
+      static_cast<std::size_t>(counters_.largest_batch.value());
+  snapshot.queue_full_waits = counters_.queue_full_waits.value();
+  snapshot.shed = counters_.shed.value();
+  snapshot.deadline_expired = counters_.deadline_expired.value();
   snapshot.queue_depth = depth;
   if (snapshot.batches > 0) {
     snapshot.mean_batch = static_cast<double>(snapshot.batched_requests) /

@@ -5,10 +5,9 @@
 /// One process holds one expensive artifact per circuit (the dictionary,
 /// via Session / DictionaryStore); the service turns that into a serving
 /// system: any number of producer threads submit() DiagnosisRequests, a
-/// small dispatcher pool drains the queue, coalesces requests that hit the
-/// same circuit into one Session::diagnose_batch call (bounded by
-/// ServiceOptions::max_batch and max_linger), fans the batched points over
-/// util::parallel, and completes each request's future.  Batched results
+/// small dispatcher pool drains the queue, runs the requests queued for one
+/// circuit as one Session::diagnose_batch call (up to max_batch, never
+/// waiting for more) and completes each request's future.  Batched results
 /// are bit-identical to serial Session::diagnose calls for any thread
 /// count and any batching configuration — batching only changes *when*
 /// work runs, never *what* is computed.
@@ -172,8 +171,20 @@ private:
 
   std::vector<std::thread> workers_;
 
-  mutable std::mutex stats_mutex_;
-  ServiceStats stats_;
+  /// Lock-free counters backing the public ServiceStats view, so the
+  /// request path takes no lock beyond the queue's own.
+  struct Counters {
+    obs::Counter submitted;
+    obs::Counter completed;
+    obs::Counter failed;
+    obs::Counter batches;
+    obs::Counter batched_requests;
+    obs::Counter queue_full_waits;
+    obs::Counter shed;
+    obs::Counter deadline_expired;
+    obs::Gauge largest_batch;
+  };
+  Counters counters_;
   /// submit -> reply latency in microseconds; lock-free observe, shared
   /// between the public percentile fields and the obs collector.
   obs::Histogram latency_us_{obs::Histogram::latency_us_bounds()};

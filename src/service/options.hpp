@@ -41,7 +41,7 @@ struct ServiceOptions {
 
   /// Dispatcher threads draining the queue; 0 means "auto" (half of
   /// util::resolve_threads(0) — which honors FTDIAG_THREADS — at least 1;
-  /// the batch fan-out uses the rest).
+  /// the rest is left to connection threads or a batch_threads fan-out).
   std::size_t workers = 0;
 
   /// The effective dispatcher count (resolves 0 as documented above).
@@ -50,12 +50,15 @@ struct ServiceOptions {
   /// Most requests coalesced into one diagnosis micro-batch.
   std::size_t max_batch = 64;
 
-  /// How long a dispatcher lingers for more same-circuit requests before
-  /// running a non-full batch.  0 disables coalescing waits entirely.
+  /// Ignored: dispatchers never linger for stragglers, a batch is the
+  /// same-circuit backlog at the moment a dispatcher picks up work.  Kept
+  /// only because perfbench's in-process service still assigns it.  (Not
+  /// [[deprecated]]: GCC then warns in every constructor of this struct.)
   std::chrono::microseconds max_linger{200};
 
   /// Worker threads for the point fan-out inside one batch
-  /// (Session::diagnose_batch); 0 means "auto".  Never changes results.
+  /// (Session::diagnose_batch); 0 means "auto", 1 runs the batch on the
+  /// dispatcher's own thread.  Never changes results.
   std::size_t batch_threads = 1;
 
   /// Overload shedding high-water mark: once the queue holds this many

@@ -122,7 +122,7 @@ struct SessionOptions {
   SimOptions sim{};
 
   /// Serving-layer defaults a DiagnosisService built for this session
-  /// should use (queue bound, micro-batch size, linger).
+  /// should use (queue bound, micro-batch size, batch threads).
   ServiceOptions service{};
 
   /// \throws ConfigError on the first invalid field.

@@ -685,6 +685,44 @@ TEST_F(ServiceResilienceTest, ServerAnswersShedsWithOverloadedFrames) {
   EXPECT_EQ(stats.replies_sent, replies);
 }
 
+TEST_F(ServiceResilienceTest, PipelinedConnectionHoldsAtMostMaxInflight) {
+  if (!net::sockets_supported()) GTEST_SKIP() << "no socket support";
+  // One dispatcher stalled on a slow solve, and a pipelined burst behind
+  // it: the connection's reader must stop submitting once max_inflight of
+  // its requests sit in the service unanswered.
+  ChaosGuard guard("engine.solve_delay:200ms");
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::DiagnosisService service(options);
+  service.add_session("paper", *session_);
+  net::ServerOptions server_options;
+  server_options.max_inflight = 2;
+  net::Server server(service, server_options);
+
+  constexpr std::size_t kBurst = 8;
+  net::Client client("127.0.0.1", server.port());
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    (void)client.send(request_with(0, 0));
+  }
+  std::this_thread::sleep_for(50ms);
+  const auto held = service.stats();
+  EXPECT_GE(held.submitted, 1u);
+  EXPECT_LE(held.submitted - held.completed - held.failed,
+            server_options.max_inflight);
+
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(client.receive().reply.results.size(), 1u);
+  }
+  client.close();
+  for (int i = 0; i < 500 && server.stats().connections_open > 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.requests_received, kBurst);
+  EXPECT_EQ(stats.replies_sent, kBurst);
+  EXPECT_EQ(service.stats().completed, kBurst);
+}
+
 TEST_F(ServiceResilienceTest, DrainFlushesInFlightRepliesThenCloses) {
   if (!net::sockets_supported()) GTEST_SKIP() << "no socket support";
   ChaosGuard guard("engine.solve_delay:100ms");

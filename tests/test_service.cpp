@@ -13,6 +13,7 @@
 #include <future>
 #include <thread>
 
+#include "chaos/chaos.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "io/dictionary_io.hpp"
 #include "mna/frequency_grid.hpp"
@@ -338,8 +339,9 @@ protected:
     EXPECT_EQ(stats.failed, 0u);
     EXPECT_EQ(stats.batched_requests, n);
     EXPECT_GE(stats.batches, 1u);
-    // Latency percentiles come from one log2 histogram, so they are
-    // powers of two and monotone: 0 < p50 <= p95 <= p99.
+    EXPECT_LE(stats.largest_batch, options.max_batch);
+    // Latency percentiles are interpolated from one histogram over 1-2-5
+    // microsecond decades, so they are monotone: 0 < p50 <= p95 <= p99.
     EXPECT_GT(stats.p50_latency_us, 0.0);
     EXPECT_GE(stats.p95_latency_us, stats.p50_latency_us);
     EXPECT_GE(stats.p99_latency_us, stats.p95_latency_us);
@@ -369,25 +371,22 @@ TEST_F(DiagnosisServiceTest, OptionsValidated) {
 }
 
 TEST_F(DiagnosisServiceTest, BatchedIdenticalToSerialAcrossConfigs) {
-  // No coalescing at all, aggressive coalescing, tiny batches with many
+  // No coalescing at all, big batches, tiny batches with many
   // dispatchers, big batches with parallel point fan-out: every
   // configuration must produce the serial bits.
   ServiceOptions no_batching;
   no_batching.workers = 1;
   no_batching.max_batch = 1;
-  no_batching.max_linger = std::chrono::microseconds(0);
   run_stress(no_batching, 1);
 
-  ServiceOptions aggressive;
-  aggressive.workers = 2;
-  aggressive.max_batch = 64;
-  aggressive.max_linger = std::chrono::microseconds(2000);
-  run_stress(aggressive, 4);
+  ServiceOptions big_batches;
+  big_batches.workers = 2;
+  big_batches.max_batch = 64;
+  run_stress(big_batches, 4);
 
   ServiceOptions tiny_batches;
   tiny_batches.workers = 4;
   tiny_batches.max_batch = 3;
-  tiny_batches.max_linger = std::chrono::microseconds(50);
   run_stress(tiny_batches, 8);
 
   ServiceOptions parallel_fanout;
@@ -395,6 +394,48 @@ TEST_F(DiagnosisServiceTest, BatchedIdenticalToSerialAcrossConfigs) {
   parallel_fanout.max_batch = 32;
   parallel_fanout.batch_threads = 4;
   run_stress(parallel_fanout, 8);
+}
+
+TEST_F(DiagnosisServiceTest, BacklogBehindABusyDispatcherFormsOneBatch) {
+  // Dispatch never waits for stragglers, so a batch larger than one forms
+  // only from the backlog queued while every dispatcher is busy.  Stall
+  // the only dispatcher on its first request and queue the rest behind it.
+  struct ChaosGuard {
+    ChaosGuard() {
+      chaos::Injector::global().configure("engine.solve_delay:50ms");
+    }
+    ~ChaosGuard() { chaos::Injector::global().clear(); }
+  } guard;
+  ServiceOptions options;
+  options.workers = 1;
+  DiagnosisService service(options);
+  service.add_session("paper", *session_);
+
+  constexpr std::size_t kRequests = 16;
+  std::vector<std::future<DiagnosisReply>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    DiagnosisRequest request;
+    request.circuit = "paper";
+    request.points.push_back((*points_)[i]);
+    futures.push_back(service.submit(std::move(request)));
+    if (i == 0) {
+      // Let the dispatcher take the first request into its stalled solve.
+      for (int spin = 0; spin < 1000 && service.stats().queue_depth > 0;
+           ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const DiagnosisReply reply = futures[i].get();
+    ASSERT_EQ(reply.results.size(), 1u);
+    expect_same(reply.results.front(), (*serial_)[i]);
+  }
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.batched_requests, kRequests);
+  EXPECT_GT(stats.largest_batch, 1u);
 }
 
 TEST_F(DiagnosisServiceTest, BackpressureQueueStillCorrect) {

@@ -175,8 +175,7 @@ int run_serve_batch(int argc, char** argv) {
       .option("seed", "GA seed", "42")
       .option("workers", "service dispatcher threads (0 = auto)", "0")
       .option("max-batch", "requests coalesced per micro-batch", "64")
-      .option("linger-us", "micro-batch linger [us]", "200")
-      .option("batch-threads", "diagnosis fan-out threads (0 = auto)", "0")
+      .option("batch-threads", "diagnosis fan-out threads (0 = auto)", "1")
       .option("synthesize",
               "if the directory has no CSVs, emulate this many faulty-board "
               "measurements first", "0")
@@ -198,8 +197,6 @@ int run_serve_batch(int argc, char** argv) {
   ServiceOptions service_options;
   service_options.workers = cli.get_size("workers");
   service_options.max_batch = cli.get_size("max-batch");
-  service_options.max_linger =
-      std::chrono::microseconds(cli.get_size("linger-us"));
   service_options.batch_threads = cli.get_size("batch-threads");
 
   auto store = store_from(cli);
@@ -399,8 +396,7 @@ int run_serve(int argc, char** argv) {
               "persistent dictionary store directory (.fdx per key)", "")
       .option("workers", "service dispatcher threads (0 = auto)", "0")
       .option("max-batch", "requests coalesced per micro-batch", "64")
-      .option("linger-us", "micro-batch linger [us]", "200")
-      .option("batch-threads", "diagnosis fan-out threads (0 = auto)", "0")
+      .option("batch-threads", "diagnosis fan-out threads (0 = auto)", "1")
       .option("max-connections", "concurrent client connections", "64")
       .option("max-inflight", "pipelined requests per connection", "128")
       .option("shed-high-water",
@@ -434,8 +430,6 @@ int run_serve(int argc, char** argv) {
   ServiceOptions service_options;
   service_options.workers = cli.get_size("workers");
   service_options.max_batch = cli.get_size("max-batch");
-  service_options.max_linger =
-      std::chrono::microseconds(cli.get_size("linger-us"));
   service_options.batch_threads = cli.get_size("batch-threads");
   service_options.shed_high_water = cli.get_size("shed-high-water");
 

@@ -6,9 +6,8 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "circuits/nf_biquad.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
+#include "session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -16,10 +15,10 @@ using namespace ftdiag;
 
 namespace {
 
-core::AccuracyReport run_eval(const core::AtpgFlow& flow,
+core::AccuracyReport run_eval(const Session& session,
                               const core::TestVector& tv,
                               const core::EvaluationOptions& options) {
-  return core::evaluate_diagnosis(flow.cut(), flow.dictionary(), tv,
+  return core::evaluate_diagnosis(session.cut(), *session.dictionary(), tv,
                                   core::SamplingPolicy{}, options);
 }
 
@@ -48,14 +47,13 @@ int main() {
   {
     AsciiTable table(kHeader);
     for (std::size_t n : {1u, 2u, 3u, 4u}) {
-      core::AtpgConfig config;
-      config.n_frequencies = n;
-      core::AtpgFlow flow(circuits::make_paper_cut(), config);
-      const auto result = flow.run();
+      const Session session =
+          SessionBuilder::from_registry("nf_biquad").frequencies(n).build();
+      const auto result = session.run_search();
       table.add_row(report_row(
           str::format("%zu frequencies (%s)", n,
                       result.best.vector.label().c_str()),
-          run_eval(flow, result.best.vector, base)));
+          run_eval(session, result.best.vector, base)));
     }
     table.print(std::cout, "accuracy vs test-vector size");
   }
@@ -65,12 +63,13 @@ int main() {
   // The paper objective saturates at I = 0 and may pick frequency pairs
   // whose trajectories, while crossing-free, sit microscopically close —
   // noise then collapses them.  The hybrid keeps them apart.
-  core::AtpgFlow flow(circuits::make_paper_cut());
-  const auto paper_vec = flow.run().best.vector;
-  core::AtpgConfig hybrid_config;
-  hybrid_config.fitness = core::FitnessKind::kHybrid;
-  core::AtpgFlow hybrid_flow(circuits::make_paper_cut(), hybrid_config);
-  const auto hybrid_vec = hybrid_flow.run().best.vector;
+  const Session session = Session::open("builtin:nf_biquad");
+  const auto paper_vec = session.run_search().best.vector;
+  const auto hybrid_vec = SessionBuilder::from_registry("nf_biquad")
+                              .fitness(FitnessKind::kHybrid)
+                              .build()
+                              .run_search()
+                              .best.vector;
   const auto best = hybrid_vec;  // used by the later sweeps
   std::printf("\npaper-fitness vector : %s\n", paper_vec.label().c_str());
   std::printf("hybrid-fitness vector: %s\n", hybrid_vec.label().c_str());
@@ -83,10 +82,10 @@ int main() {
       options.noise_sigma = sigma;
       table.add_row(report_row(
           str::format("paper fitness vec, noise = %.1f%%", sigma * 100),
-          run_eval(flow, paper_vec, options)));
+          run_eval(session, paper_vec, options)));
       table.add_row(report_row(
           str::format("hybrid fitness vec, noise = %.1f%%", sigma * 100),
-          run_eval(flow, hybrid_vec, options)));
+          run_eval(session, hybrid_vec, options)));
     }
     table.print(std::cout,
                 "accuracy vs measurement noise (paper vs hybrid objective)");
@@ -105,7 +104,7 @@ int main() {
       }
       table.add_row(report_row(
           str::format("R/C tolerance = %.1f%%", tol * 100),
-          run_eval(flow, best, options)));
+          run_eval(session, best, options)));
     }
     table.print(std::cout, "accuracy vs healthy-component tolerance");
   }
@@ -114,13 +113,15 @@ int main() {
   {
     AsciiTable table(kHeader);
     for (double step : {0.05, 0.10, 0.20, 0.40}) {
-      core::AtpgConfig config;
-      config.deviations.step_fraction = step;
-      core::AtpgFlow stepped(circuits::make_paper_cut(), config);
-      const auto result = stepped.run();
+      faults::DeviationSpec deviations = faults::DeviationSpec::paper();
+      deviations.step_fraction = step;
+      const Session stepped = SessionBuilder::from_registry("nf_biquad")
+                                  .deviations(deviations)
+                                  .build();
+      const auto result = stepped.run_search();
       table.add_row(report_row(
           str::format("step = %.0f%% (%zu faults)", step * 100,
-                      stepped.dictionary().fault_count()),
+                      stepped.dictionary()->fault_count()),
           run_eval(stepped, result.best.vector, base)));
     }
     table.print(std::cout, "accuracy vs dictionary deviation step");
@@ -139,7 +140,7 @@ int main() {
       table.add_row(report_row(
           str::format("|deviation| in [%.0f%%, %.0f%%], 0.5%% noise",
                       r.lo * 100, r.hi * 100),
-          run_eval(flow, best, options)));
+          run_eval(session, best, options)));
     }
     table.print(std::cout, "accuracy vs unknown-fault magnitude");
   }

@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "core/ambiguity.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"

@@ -10,8 +10,9 @@
 
 #include "bench_common.hpp"
 #include "circuits/nf_biquad.hpp"
-#include "core/atpg.hpp"
-#include "faults/fault_simulator.hpp"
+#include "faults/fault_injector.hpp"
+#include "mna/ac_analysis.hpp"
+#include "session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -20,13 +21,20 @@ using namespace ftdiag;
 
 namespace {
 
-void show_transformation(const faults::FaultSimulator& sim,
+mna::AcResponse sweep(const circuits::CircuitUnderTest& cut,
+                      const netlist::Circuit& circuit,
+                      const std::vector<double>& freqs) {
+  return mna::AcAnalysis(circuit).sweep(freqs, cut.output_node);
+}
+
+void show_transformation(const circuits::CircuitUnderTest& cut,
                          const core::SpectralSampler& sampler,
                          const faults::ParametricFault& fault, double f1,
                          double f2) {
   const std::vector<double> freqs = {f1, f2};
-  const auto h = sim.golden(freqs);              // golden curve H
-  const auto k = sim.simulate(fault, freqs);     // faulty curve K
+  // Golden curve H and faulty curve K.
+  const auto h = sweep(cut, cut.circuit, freqs);
+  const auto k = sweep(cut, faults::inject(cut.circuit, fault), freqs);
 
   std::printf("\ntest vector: f1=%s f2=%s   fault: %s\n",
               units::format_hz(f1).c_str(), units::format_hz(f2).c_str(),
@@ -53,21 +61,20 @@ int main() {
                 "nf_biquad CUT, fault R3+30%");
 
   const auto cut = circuits::make_paper_cut();
-  const faults::FaultSimulator sim(cut);
   const core::SpectralSampler sampler(
-      sim.golden(sim.dictionary_frequencies()), core::SamplingPolicy{});
+      sweep(cut, cut.circuit, cut.dictionary_grid.frequencies()),
+      core::SamplingPolicy{});
 
   const faults::ParametricFault fault{faults::FaultSite::value_of("R3"), 0.30};
 
   // A generic pair inside the passband/transition band...
-  show_transformation(sim, sampler, fault, 500.0, 2000.0);
+  show_transformation(cut, sampler, fault, 500.0, 2000.0);
 
   // ...and the pair the GA would actually pick.
-  core::AtpgFlow flow(cut);
-  const auto result = flow.run();
+  const auto result = SessionBuilder(cut).build().run_search();
   std::printf("\nGA-optimized vector (fitness %.3f, I=%zu):\n",
               result.best.fitness, result.best.intersections);
-  show_transformation(sim, sampler, fault,
+  show_transformation(cut, sampler, fault,
                       result.best.vector.frequencies_hz[0],
                       result.best.vector.frequencies_hz[1]);
 

@@ -10,11 +10,11 @@
 
 #include "bench_common.hpp"
 #include "circuits/nf_biquad.hpp"
-#include "core/atpg.hpp"
 #include "faults/fault_injector.hpp"
 #include "io/exporters.hpp"
 #include "io/report.hpp"
 #include "mna/ac_analysis.hpp"
+#include "session.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -27,13 +27,14 @@ int main() {
                 "nf_biquad CUT, GA-optimized 2-frequency test vector");
 
   const auto cut = circuits::make_paper_cut();
-  core::AtpgFlow flow(cut);
-  const auto result = flow.run();
+  const Session session = SessionBuilder(cut).build();
+  const auto result = session.run_search();
   std::printf("test vector: %s  (fitness %.3f, intersections %zu)\n",
               result.best.vector.label().c_str(), result.best.fitness,
               result.best.intersections);
 
-  const auto trajectories = flow.evaluator().trajectories(result.best.vector);
+  const auto trajectories =
+      session.evaluator().trajectories(result.best.vector);
 
   // Left panel: the R3 trajectory, point by point.
   AsciiTable left({"deviation", "x (|H(f1)| - golden)", "y (|H(f2)| - golden)"});
@@ -60,7 +61,7 @@ int main() {
   summary.print(std::cout, "all 7 trajectories");
 
   // Right panel: diagnose an unknown off-grid fault.
-  const auto engine = flow.evaluator().make_engine(result.best.vector);
+  const auto engine = session.evaluator().make_engine(result.best.vector);
   for (const auto& unknown :
        {faults::ParametricFault{faults::FaultSite::value_of("R3"), 0.23},
         faults::ParametricFault{faults::FaultSite::value_of("C1"), -0.17},
@@ -69,7 +70,7 @@ int main() {
     mna::AcAnalysis analysis(faulty);
     const auto measured = analysis.sweep(result.best.vector.frequencies_hz,
                                          cut.output_node);
-    const auto observed = flow.evaluator().sampler().sample(
+    const auto observed = session.evaluator().sampler().sample(
         measured, result.best.vector.frequencies_hz);
     std::printf("\nunknown fault (*) injected: %s   observed point (%.5f, %.5f)\n",
                 unknown.label().c_str(), observed[0], observed[1]);

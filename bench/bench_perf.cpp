@@ -24,7 +24,6 @@
 #include "circuits/ladders.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "core/evaluation_pipeline.hpp"
 #include "faults/dictionary.hpp"
@@ -408,20 +407,34 @@ BENCHMARK(BM_ServiceThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FullPaperGa(benchmark::State& state) {
-  core::AtpgFlow flow(circuits::make_paper_cut());
+  const Session session = SessionBuilder(circuits::make_paper_cut()).build();
+  (void)session.dictionary();  // build outside the timed loop
   for (auto _ : state) {
-    benchmark::DoNotOptimize(flow.run());
+    benchmark::DoNotOptimize(session.run_search());
   }
 }
 BENCHMARK(BM_FullPaperGa)->Unit(benchmark::kMillisecond);
 
-/// The pre-batch search path: scalar objective, uncached trajectory
+/// The pre-batch search path: one genome at a time, uncached trajectory
 /// building, exact all-pairs intersection sweep, one thread.
-ga::Objective make_serial_objective(const core::TestVectorEvaluator& evaluator) {
-  return [&evaluator](const std::vector<double>& genes) {
-    return evaluator.fitness(Session::to_test_vector(genes));
-  };
-}
+class SerialObjective final : public ga::BatchObjective {
+public:
+  explicit SerialObjective(const core::TestVectorEvaluator& evaluator)
+      : evaluator_(evaluator) {}
+
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    std::vector<double> scores;
+    scores.reserve(genomes.size());
+    for (const auto& genes : genomes) {
+      scores.push_back(evaluator_.fitness(Session::to_test_vector(genes)));
+    }
+    return scores;
+  }
+
+private:
+  const core::TestVectorEvaluator& evaluator_;
+};
 
 /// The seed repository's count_intersections, verbatim: per-call segment
 /// extraction, all-pairs sweep, per-conflict records.  Kept here so
@@ -513,7 +526,7 @@ ga::GaConfig bench_ga_config() {
 BENCHMARK_DEFINE_F(TrajectoryFixture, BM_SearchSerial)
 (benchmark::State& state) {
   const auto exact_evaluator = make_exact_evaluator(*dict);
-  const ga::Objective objective = make_serial_objective(exact_evaluator);
+  const SerialObjective objective(exact_evaluator);
   const ga::GeneticAlgorithm ga(bench_ga_config());
   for (auto _ : state) {
     Rng rng(42);
@@ -807,7 +820,7 @@ void write_search_report(const char* path) {
 
   std::size_t evaluations = 0;
   const auto exact_evaluator = make_exact_evaluator(dictionary);
-  const ga::Objective objective = make_serial_objective(exact_evaluator);
+  const SerialObjective objective(exact_evaluator);
   const double serial_ms = best_of([&] {
     Rng rng(42);
     evaluations = ga.optimize(objective, 2, bounds, rng).evaluations;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "faults/fault_injector.hpp"
-#include "faults/fault_simulator.hpp"
 #include "mna/ac_analysis.hpp"
 #include "util/error.hpp"
 

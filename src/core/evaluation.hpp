@@ -12,7 +12,6 @@
 
 #include "circuits/cut.hpp"
 #include "core/test_vector.hpp"
-#include "faults/fault_simulator.hpp"
 #include "faults/tolerance.hpp"
 
 namespace ftdiag::core {

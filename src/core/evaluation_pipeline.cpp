@@ -119,45 +119,33 @@ EvaluationPipeline::EvaluationPipeline(const TestVectorEvaluator& evaluator,
     plans_.push_back(std::move(plan));
   }
 
-  // Interpolation tables, usable when every response shares one grid (true
-  // for any dictionary built by one sweep).
+  // Interpolation tables.  Every response shares the golden's grid:
+  // FaultDictionary::from_parts rejects an entry off it.
   const mna::AcResponse& golden = dictionary.golden();
-  shared_grid_ = true;
+  grid_size_ = golden.size();
+  const std::size_t responses = dictionary.entries().size() + 1;
+  response_values_.reserve(responses);
+  response_values_.push_back(&golden.values());
   for (const auto& entry : dictionary.entries()) {
-    if (entry.response.frequencies() != golden.frequencies()) {
-      shared_grid_ = false;
-      break;
-    }
+    response_values_.push_back(&entry.response.values());
   }
-  if (shared_grid_) {
-    grid_size_ = golden.size();
-    const std::size_t responses = dictionary.entries().size() + 1;
-    response_values_.reserve(responses);
-    response_values_.push_back(&golden.values());
-    for (const auto& entry : dictionary.entries()) {
-      response_values_.push_back(&entry.response.values());
-    }
-    // Build the interpolation tables straight off the dictionary's
-    // consolidated SoA planes — one linear pass over two contiguous
-    // arrays instead of a pointer-chase through per-entry vectors.  The
-    // planes hold the same bits as values(), and the mag/log/arg math is
-    // unchanged, so columns stay bit-identical to
-    // AcResponse::interpolate.
-    const faults::FaultDictionary::SignaturePlanes& planes =
-        dictionary.planes();
-    FTDIAG_ASSERT(planes.grid == grid_size_ &&
-                      planes.responses == responses,
-                  "dictionary planes mismatch the shared grid");
-    table_mag_.resize(responses * grid_size_);
-    table_log_mag_.resize(responses * grid_size_);
-    table_phase_.resize(responses * grid_size_);
-    for (std::size_t i = 0; i < responses * grid_size_; ++i) {
-      const mna::Complex v(planes.re[i], planes.im[i]);
-      const double mag = std::abs(v);
-      table_mag_[i] = mag;
-      table_log_mag_[i] = mag > 0.0 ? std::log(mag) : 0.0;
-      table_phase_[i] = std::arg(v);
-    }
+  // Build the interpolation tables straight off the dictionary's
+  // consolidated SoA planes — one linear pass over two contiguous arrays
+  // instead of a pointer-chase through per-entry vectors.  The planes hold
+  // the same bits as values(), and the mag/log/arg math is unchanged, so
+  // columns stay bit-identical to AcResponse::interpolate.
+  const faults::FaultDictionary::SignaturePlanes& planes = dictionary.planes();
+  FTDIAG_ASSERT(planes.grid == grid_size_ && planes.responses == responses,
+                "dictionary planes mismatch the shared grid");
+  table_mag_.resize(responses * grid_size_);
+  table_log_mag_.resize(responses * grid_size_);
+  table_phase_.resize(responses * grid_size_);
+  for (std::size_t i = 0; i < responses * grid_size_; ++i) {
+    const mna::Complex v(planes.re[i], planes.im[i]);
+    const double mag = std::abs(v);
+    table_mag_[i] = mag;
+    table_log_mag_[i] = mag > 0.0 ? std::log(mag) : 0.0;
+    table_phase_[i] = std::arg(v);
   }
 }
 
@@ -174,11 +162,11 @@ EvaluationPipeline::Column EvaluationPipeline::build_column(
       std::pow(10.0, static_cast<double>(key) * options_.frequency_quantum);
   const SamplingPolicy& policy = evaluator_.policy();
   const faults::FaultDictionary& dictionary = evaluator_.dictionary();
-  const auto& entries = dictionary.entries();
+  const std::size_t entries = dictionary.entries().size();
 
   Column column;
-  column.entry_mag.resize(entries.size());
-  if (policy.include_phase) column.entry_phase.resize(entries.size());
+  column.entry_mag.resize(entries);
+  if (policy.include_phase) column.entry_phase.resize(entries);
 
   auto store = [&](std::size_t r, const mna::Complex& h) {
     const double mag = policy.scale == MagnitudeScale::kLinear
@@ -193,40 +181,31 @@ EvaluationPipeline::Column EvaluationPipeline::build_column(
     }
   };
 
-  if (shared_grid_) {
-    // One locate serves every response; values are reconstructed from the
-    // precomputed tables, bit-identical to AcResponse::interpolate.
-    const mna::AcResponse::GridPosition pos =
-        dictionary.golden().locate(f_hz);
-    constexpr double kPi = 3.14159265358979323846;
-    for (std::size_t r = 0; r < response_values_.size(); ++r) {
-      if (pos.lo == pos.hi) {
-        store(r, (*response_values_[r])[pos.lo]);
-        continue;
-      }
-      const std::size_t base = r * grid_size_;
-      const double mag_a = table_mag_[base + pos.lo];
-      const double mag_b = table_mag_[base + pos.hi];
-      double m;
-      if (mag_a > 0.0 && mag_b > 0.0) {
-        m = std::exp((1.0 - pos.t) * table_log_mag_[base + pos.lo] +
-                     pos.t * table_log_mag_[base + pos.hi]);
-      } else {
-        m = (1.0 - pos.t) * mag_a + pos.t * mag_b;
-      }
-      const double ph_a = table_phase_[base + pos.lo];
-      double ph_b = table_phase_[base + pos.hi];
-      while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
-      while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
-      const double ph = (1.0 - pos.t) * ph_a + pos.t * ph_b;
-      store(r, {m * std::cos(ph), m * std::sin(ph)});
+  // One locate serves every response; values are reconstructed from the
+  // precomputed tables, bit-identical to AcResponse::interpolate.
+  const mna::AcResponse::GridPosition pos = dictionary.golden().locate(f_hz);
+  constexpr double kPi = 3.14159265358979323846;
+  for (std::size_t r = 0; r < response_values_.size(); ++r) {
+    if (pos.lo == pos.hi) {
+      store(r, (*response_values_[r])[pos.lo]);
+      continue;
     }
-    return column;
-  }
-
-  store(0, dictionary.golden().interpolate(f_hz));
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    store(e + 1, entries[e].response.interpolate(f_hz));
+    const std::size_t base = r * grid_size_;
+    const double mag_a = table_mag_[base + pos.lo];
+    const double mag_b = table_mag_[base + pos.hi];
+    double m;
+    if (mag_a > 0.0 && mag_b > 0.0) {
+      m = std::exp((1.0 - pos.t) * table_log_mag_[base + pos.lo] +
+                   pos.t * table_log_mag_[base + pos.hi]);
+    } else {
+      m = (1.0 - pos.t) * mag_a + pos.t * mag_b;
+    }
+    const double ph_a = table_phase_[base + pos.lo];
+    double ph_b = table_phase_[base + pos.hi];
+    while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
+    while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
+    const double ph = (1.0 - pos.t) * ph_a + pos.t * ph_b;
+    store(r, {m * std::cos(ph), m * std::sin(ph)});
   }
   return column;
 }

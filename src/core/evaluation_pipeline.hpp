@@ -146,12 +146,10 @@ private:
 
   /// Precomputed per-response interpolation tables (|H|, log |H|, arg H at
   /// every grid index; response 0 is the golden, then the entries in
-  /// order).  Valid when every response shares the golden's grid — then a
-  /// column build locates the frequency once and reconstructs each
-  /// response's value from the tables, bit-identical to
-  /// AcResponse::interpolate but without its per-response binary search,
-  /// hypots and atan2s.
-  bool shared_grid_ = false;
+  /// order).  Every response shares the golden's grid, so a column build
+  /// locates the frequency once and reconstructs each response's value
+  /// from the tables, bit-identical to AcResponse::interpolate but without
+  /// its per-response binary search, hypots and atan2s.
   std::size_t grid_size_ = 0;
   std::vector<const std::vector<mna::Complex>*> response_values_;
   std::vector<double> table_mag_;

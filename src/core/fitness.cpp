@@ -113,8 +113,4 @@ std::string to_string(FitnessKind kind) {
   throw ConfigError("unknown FitnessKind value");
 }
 
-std::unique_ptr<TrajectoryFitness> make_fitness(const std::string& name) {
-  return make_fitness(parse_fitness_kind(name));
-}
-
 }  // namespace ftdiag::core

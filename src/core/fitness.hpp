@@ -17,8 +17,7 @@
 
 namespace ftdiag::core {
 
-/// Typed selector for the built-in fitness functions (replaces the old
-/// stringly-typed AtpgConfig::fitness field).
+/// Typed selector for the built-in fitness functions.
 enum class FitnessKind : std::uint8_t {
   kPaper,       ///< the paper's 1/(1+I)
   kSeparation,  ///< normalized minimum trajectory separation
@@ -102,10 +101,5 @@ private:
 
 /// Canonical name of a kind (the string parse_fitness_kind accepts).
 [[nodiscard]] std::string to_string(FitnessKind kind);
-
-/// Factory by name ("paper", "separation", "hybrid") for CLI-ish configs.
-/// \deprecated Prefer make_fitness(parse_fitness_kind(name)).
-[[nodiscard]] std::unique_ptr<TrajectoryFitness> make_fitness(
-    const std::string& name);
 
 }  // namespace ftdiag::core

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "faults/fault_simulator.hpp"
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
 #include "linalg/simd.hpp"

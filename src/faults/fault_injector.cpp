@@ -1,5 +1,7 @@
 #include "faults/fault_injector.hpp"
 
+#include "util/rng.hpp"
+
 namespace ftdiag::faults {
 
 namespace {
@@ -29,6 +31,19 @@ netlist::Circuit inject_all(const netlist::Circuit& circuit,
   netlist::Circuit faulty = circuit;
   for (const auto& fault : faults) apply(faulty, fault);
   return faulty;
+}
+
+mna::AcResponse add_measurement_noise(const mna::AcResponse& response,
+                                      const MeasurementNoise& noise) {
+  if (noise.sigma <= 0.0) return response;
+  Rng rng(noise.seed);
+  std::vector<mna::Complex> values = response.values();
+  for (auto& v : values) {
+    const double factor = 1.0 + rng.normal(0.0, noise.sigma);
+    // Clamp so a large noise draw cannot flip the magnitude sign.
+    v *= factor > 0.01 ? factor : 0.01;
+  }
+  return mna::AcResponse(response.frequencies(), std::move(values));
 }
 
 }  // namespace ftdiag::faults

@@ -1,8 +1,12 @@
 /// \file fault_injector.hpp
-/// \brief Applying parametric faults to circuits.
+/// \brief Applying parametric faults to circuits, and emulating the noisy
+/// bench measurement of a faulty board's response.
 #pragma once
 
+#include <cstdint>
+
 #include "faults/fault.hpp"
+#include "mna/response.hpp"
 #include "netlist/circuit.hpp"
 
 namespace ftdiag::faults {
@@ -18,5 +22,17 @@ namespace ftdiag::faults {
 [[nodiscard]] netlist::Circuit inject_all(
     const netlist::Circuit& circuit,
     const std::vector<ParametricFault>& faults);
+
+/// Multiplicative gaussian amplitude noise applied per measurement sample,
+/// emulating instrumentation error: |H| * (1 + N(0, sigma)).
+struct MeasurementNoise {
+  double sigma = 0.0;
+  std::uint64_t seed = 1;
+};
+
+/// Apply multiplicative gaussian magnitude noise to a response.  Phase is
+/// preserved; sigma 0 returns the response unchanged.
+[[nodiscard]] mna::AcResponse add_measurement_noise(
+    const mna::AcResponse& response, const MeasurementNoise& noise);
 
 }  // namespace ftdiag::faults

@@ -19,7 +19,6 @@
 
 #include "circuits/registry.hpp"
 #include "faults/fault_injector.hpp"
-#include "faults/fault_simulator.hpp"
 #include "io/dictionary_io.hpp"
 #include "io/mapped_file.hpp"
 #include "io/report.hpp"

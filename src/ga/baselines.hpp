@@ -20,7 +20,6 @@ namespace ftdiag::ga {
 class RandomSearch final : public FrequencyOptimizer {
 public:
   explicit RandomSearch(std::size_t budget = 2048);
-  using FrequencyOptimizer::optimize;
   [[nodiscard]] OptimizerResult optimize(const BatchObjective& objective,
                                          std::size_t dimensions,
                                          const GeneBounds& bounds,
@@ -38,7 +37,6 @@ private:
 class GridSearch final : public FrequencyOptimizer {
 public:
   explicit GridSearch(std::size_t points_per_axis = 45);
-  using FrequencyOptimizer::optimize;
   [[nodiscard]] OptimizerResult optimize(const BatchObjective& objective,
                                          std::size_t dimensions,
                                          const GeneBounds& bounds,
@@ -56,7 +54,6 @@ class HillClimb final : public FrequencyOptimizer {
 public:
   HillClimb(std::size_t budget = 2048, std::size_t restarts = 8,
             double initial_step = 0.5);
-  using FrequencyOptimizer::optimize;
   [[nodiscard]] OptimizerResult optimize(const BatchObjective& objective,
                                          std::size_t dimensions,
                                          const GeneBounds& bounds,
@@ -75,7 +72,6 @@ class SimulatedAnnealing final : public FrequencyOptimizer {
 public:
   SimulatedAnnealing(std::size_t budget = 2048, double initial_temperature = 0.3,
                      double cooling = 0.995, double step = 0.3);
-  using FrequencyOptimizer::optimize;
   [[nodiscard]] OptimizerResult optimize(const BatchObjective& objective,
                                          std::size_t dimensions,
                                          const GeneBounds& bounds,

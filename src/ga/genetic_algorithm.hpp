@@ -53,8 +53,6 @@ class GeneticAlgorithm final : public FrequencyOptimizer {
 public:
   explicit GeneticAlgorithm(GaConfig config = GaConfig::paper());
 
-  using FrequencyOptimizer::optimize;
-
   [[nodiscard]] OptimizerResult optimize(const BatchObjective& objective,
                                          std::size_t dimensions,
                                          const GeneBounds& bounds,

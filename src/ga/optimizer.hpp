@@ -6,14 +6,12 @@
 /// frequency), bounded by the CUT's recommended band.  Working in decades
 /// makes mutation steps scale-free across the audio band.
 ///
-/// Since PR 3 the primary evaluation interface is *batched*: optimizers
-/// hand a whole population slice to a BatchObjective per generation, which
-/// lets the evaluation layer (core::EvaluationPipeline) fan the genomes out
-/// over a thread pool and share cached signature samples between them.  The
-/// old scalar Objective survives as a deprecated shim adapted on the fly.
+/// The evaluation interface is *batched*: optimizers hand a whole
+/// population slice to a BatchObjective per generation, which lets the
+/// evaluation layer (core::EvaluationPipeline) fan the genomes out over a
+/// thread pool and share cached signature samples between them.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,13 +19,9 @@
 
 namespace ftdiag::ga {
 
-/// Objective: maps a genome (log10 frequencies) to a fitness (larger is
-/// better, in (0, 1]).
-/// \deprecated Prefer implementing BatchObjective; scalar objectives are
-/// adapted (and evaluated serially) through ScalarBatchAdapter.
-using Objective = std::function<double(const std::vector<double>&)>;
-
-/// Batch evaluation interface: scores a whole slice of genomes at once.
+/// Batch evaluation interface: scores a whole slice of genomes at once,
+/// mapping each genome (log10 frequencies) to a fitness (larger is better,
+/// in (0, 1]).
 /// Implementations must be pure (same genomes -> same scores, regardless of
 /// batch composition or call history) and safe to call from the optimizer's
 /// driving thread; internal parallelism is the implementation's business.
@@ -39,26 +33,6 @@ public:
   /// \p genomes).  Genome i must be evaluated independently of genome j.
   [[nodiscard]] virtual std::vector<double> evaluate(
       const std::vector<std::vector<double>>& genomes) const = 0;
-};
-
-/// Adapts a scalar Objective to the batch interface (serial loop).  This is
-/// the shim behind the deprecated FrequencyOptimizer::optimize(Objective)
-/// overload.
-class ScalarBatchAdapter final : public BatchObjective {
-public:
-  explicit ScalarBatchAdapter(Objective objective)
-      : objective_(std::move(objective)) {}
-
-  [[nodiscard]] std::vector<double> evaluate(
-      const std::vector<std::vector<double>>& genomes) const override {
-    std::vector<double> scores;
-    scores.reserve(genomes.size());
-    for (const auto& genome : genomes) scores.push_back(objective_(genome));
-    return scores;
-  }
-
-private:
-  Objective objective_;
 };
 
 /// Inclusive per-gene bounds in log10(Hz).
@@ -112,15 +86,6 @@ public:
   [[nodiscard]] virtual OptimizerResult optimize(
       const BatchObjective& objective, std::size_t dimensions,
       const GeneBounds& bounds, Rng& rng) const = 0;
-
-  /// Scalar entry point.  \deprecated Kept for existing callers; wraps the
-  /// objective in a ScalarBatchAdapter (serial evaluation, no sharing).
-  [[nodiscard]] OptimizerResult optimize(const Objective& objective,
-                                         std::size_t dimensions,
-                                         const GeneBounds& bounds,
-                                         Rng& rng) const {
-    return optimize(ScalarBatchAdapter(objective), dimensions, bounds, rng);
-  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };

@@ -7,7 +7,7 @@
 
 namespace ftdiag::io {
 
-void print_atpg_report(std::ostream& os, const core::AtpgResult& result) {
+void print_atpg_report(std::ostream& os, const TestGenResult& result) {
   os << "test vector : " << result.best.vector.label() << '\n'
      << str::format("fitness     : %.4f  (intersections I = %zu)",
                     result.best.fitness, result.best.intersections)

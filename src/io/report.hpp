@@ -5,14 +5,14 @@
 
 #include <iosfwd>
 
-#include "core/atpg.hpp"
 #include "core/diagnosis.hpp"
 #include "core/evaluation.hpp"
+#include "session.hpp"
 
 namespace ftdiag::io {
 
 /// Print the test vector, fitness, intersection count and GA convergence.
-void print_atpg_report(std::ostream& os, const core::AtpgResult& result);
+void print_atpg_report(std::ostream& os, const TestGenResult& result);
 
 /// Print a ranked diagnosis ("fault is on N, deviation about +23%...").
 void print_diagnosis(std::ostream& os, const core::Diagnosis& diagnosis,

@@ -106,10 +106,4 @@ std::string render_run_report(const Session& session,
   return os.str();
 }
 
-std::string render_run_report(const core::AtpgFlow& flow,
-                              const core::AtpgResult& result,
-                              const RunReportOptions& options) {
-  return render_run_report(flow.session(), result, options);
-}
-
 }  // namespace ftdiag::io

@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "session.hpp"
 
@@ -24,11 +23,6 @@ struct RunReportOptions {
 /// Render the full run as markdown.
 [[nodiscard]] std::string render_run_report(const Session& session,
                                             const TestGenResult& result,
-                                            const RunReportOptions& options = {});
-
-/// \deprecated Legacy overload; forwards to the Session-based renderer.
-[[nodiscard]] std::string render_run_report(const core::AtpgFlow& flow,
-                                            const core::AtpgResult& result,
                                             const RunReportOptions& options = {});
 
 }  // namespace ftdiag::io

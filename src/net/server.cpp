@@ -324,7 +324,7 @@ void Server::writer_loop(Connection& conn) {
     } else {
       try {
         const service::DiagnosisReply reply = item.pending.get();
-        send_span.emplace(obs::Stage::kReplySend, item.request_id);
+        send_span.emplace(obs::Stage::kReplySend);
         frame = encode_frame(MessageType::kDiagnoseReply,
                              encode_reply(item.request_id, reply));
         is_reply = true;

@@ -36,10 +36,10 @@
 
 namespace ftdiag::obs {
 
-/// Runtime kill-switch for the *timing* layer (histograms, spans,
-/// slow-trace ring).  Initialised once from `FTDIAG_OBS` (`0`/`off` =
-/// disabled, anything else = enabled, unset = enabled); `set_enabled`
-/// overrides it at any time.  Counters and gauges ignore this flag.
+/// Runtime kill-switch for the *timing* layer (histograms and spans).
+/// Initialised once from `FTDIAG_OBS` (`0`/`off` = disabled, anything else
+/// = enabled, unset = enabled); `set_enabled` overrides it at any time.
+/// Counters and gauges ignore this flag.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 

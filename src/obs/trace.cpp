@@ -22,8 +22,7 @@ const char* stage_name(Stage stage) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(Registry& registry, double slow_threshold_us)
-    : slow_threshold_us_(slow_threshold_us) {
+Tracer::Tracer(Registry& registry) {
   for (std::size_t i = 0; i < kStageCount; ++i) {
     stages_[i] = &registry.histogram(
         "ftdiag_stage_duration_us", Histogram::latency_us_bounds(),
@@ -39,26 +38,9 @@ Tracer& Tracer::global() {
   return *g;
 }
 
-void Tracer::record(Stage stage, double us, std::uint64_t request_id) noexcept {
+void Tracer::record(Stage stage, double us) noexcept {
   if (!enabled()) return;
   stages_[static_cast<std::size_t>(stage)]->observe(us);
-  if (us < slow_threshold_us_) return;
-  std::lock_guard<std::mutex> lock(ring_mutex_);
-  ring_[ring_head_] = SlowTrace{stage, us, request_id, next_seq_++};
-  ring_head_ = (ring_head_ + 1) % kRingCapacity;
-  if (ring_size_ < kRingCapacity) ++ring_size_;
-}
-
-std::vector<SlowTrace> Tracer::slow_traces() const {
-  std::lock_guard<std::mutex> lock(ring_mutex_);
-  std::vector<SlowTrace> out;
-  out.reserve(ring_size_);
-  const std::size_t start =
-      (ring_head_ + kRingCapacity - ring_size_) % kRingCapacity;
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(start + i) % kRingCapacity]);
-  }
-  return out;
 }
 
 }  // namespace ftdiag::obs

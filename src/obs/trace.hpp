@@ -15,17 +15,13 @@
 ///   reply_send     encoding + writing the reply frame
 ///
 /// Each stage feeds a microsecond histogram
-/// `ftdiag_stage_duration_us{stage="..."}` in a `Registry`, and samples
-/// slower than a threshold are kept in a small ring buffer of recent
-/// slow traces for post-hoc inspection.  All recording is gated by
-/// `obs::enabled()` and costs two steady_clock reads plus a histogram
-/// observe when on.
+/// `ftdiag_stage_duration_us{stage="..."}` in a `Registry`.  All recording
+/// is gated by `obs::enabled()` and costs two steady_clock reads plus a
+/// histogram observe when on.
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -45,46 +41,23 @@ inline constexpr std::size_t kStageCount = 7;
 /// Stable exposition label for a stage ("net_recv", "queue_wait", ...).
 [[nodiscard]] const char* stage_name(Stage stage) noexcept;
 
-/// One entry of the slow-trace ring buffer.
-struct SlowTrace {
-  Stage stage;
-  double us = 0.0;
-  std::uint64_t request_id = 0;
-  std::uint64_t seq = 0;  ///< monotonically increasing record number
-};
-
-/// Owns the seven stage histograms plus the slow-trace ring.
+/// Owns the seven stage histograms.
 class Tracer {
  public:
-  static constexpr std::size_t kRingCapacity = 128;
-  /// Default slowness threshold: 10 ms.
-  explicit Tracer(Registry& registry = Registry::global(),
-                  double slow_threshold_us = 10'000.0);
+  explicit Tracer(Registry& registry = Registry::global());
 
   /// Process-wide tracer bound to `Registry::global()`.
   static Tracer& global();
 
   /// Record one stage duration (microseconds).  No-op when disabled.
-  void record(Stage stage, double us, std::uint64_t request_id = 0) noexcept;
+  void record(Stage stage, double us) noexcept;
 
   [[nodiscard]] Histogram& stage_histogram(Stage stage) noexcept {
     return *stages_[static_cast<std::size_t>(stage)];
   }
 
-  /// Copy of the ring, oldest first.
-  [[nodiscard]] std::vector<SlowTrace> slow_traces() const;
-  [[nodiscard]] double slow_threshold_us() const noexcept {
-    return slow_threshold_us_;
-  }
-
  private:
   std::array<Histogram*, kStageCount> stages_{};
-  double slow_threshold_us_;
-  mutable std::mutex ring_mutex_;
-  std::array<SlowTrace, kRingCapacity> ring_{};
-  std::size_t ring_size_ = 0;
-  std::size_t ring_head_ = 0;  // next write position
-  std::uint64_t next_seq_ = 0;
 };
 
 /// RAII span: measures construction -> finish()/destruction and records
@@ -92,9 +65,8 @@ class Tracer {
 /// the span takes no clock reads at all.
 class Span {
  public:
-  explicit Span(Stage stage, std::uint64_t request_id = 0,
-                Tracer& tracer = Tracer::global()) noexcept
-      : tracer_(&tracer), stage_(stage), request_id_(request_id) {
+  explicit Span(Stage stage, Tracer& tracer = Tracer::global()) noexcept
+      : tracer_(&tracer), stage_(stage) {
     if (enabled()) {
       armed_ = true;
       start_ = std::chrono::steady_clock::now();
@@ -108,7 +80,7 @@ class Span {
   void finish() noexcept {
     if (!armed_) return;
     armed_ = false;
-    tracer_->record(stage_, elapsed_us(), request_id_);
+    tracer_->record(stage_, elapsed_us());
   }
   /// Drop the measurement without recording (e.g. error paths).
   void cancel() noexcept { armed_ = false; }
@@ -122,7 +94,6 @@ class Span {
  private:
   Tracer* tracer_;
   Stage stage_;
-  std::uint64_t request_id_;
   std::chrono::steady_clock::time_point start_{};
   bool armed_ = false;
 };

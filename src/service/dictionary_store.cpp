@@ -1,7 +1,6 @@
 #include "service/dictionary_store.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <future>
@@ -332,17 +331,6 @@ void DictionaryStore::clear() {
     }
     shards_[s].entries.clear();
   }
-}
-
-DictionaryStore& DictionaryStore::process_wide() {
-  static DictionaryStore store([] {
-    StoreOptions options;
-    if (const char* dir = std::getenv("FTDIAG_STORE_DIR")) {
-      options.root_dir = dir;
-    }
-    return options;
-  }());
-  return store;
 }
 
 }  // namespace ftdiag::service

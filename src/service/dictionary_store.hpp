@@ -76,11 +76,6 @@ public:
   /// shared_ptrs stay valid).
   void clear();
 
-  /// The process-wide store, lazily constructed with default options the
-  /// first time (root_dir from $FTDIAG_STORE_DIR when set).  One instance
-  /// per process mirrors the Session dictionary cache's scope.
-  [[nodiscard]] static DictionaryStore& process_wide();
-
 private:
   struct Shard;
 

@@ -9,7 +9,8 @@
 #include "circuits/registry.hpp"
 #include "core/evaluation_pipeline.hpp"
 #include "core/sensitivity.hpp"
-#include "faults/fault_simulator.hpp"
+#include "faults/fault_injector.hpp"
+#include "mna/ac_analysis.hpp"
 #include "mna/frequency_grid.hpp"
 #include "netlist/parser.hpp"
 #include "service/dictionary_store.hpp"
@@ -170,7 +171,6 @@ struct Session::State {
   mutable std::mutex mutex;
   mutable std::shared_ptr<const faults::FaultDictionary> dictionary;
   mutable std::unique_ptr<core::TestVectorEvaluator> evaluator;
-  mutable std::shared_ptr<const faults::FaultSimulator> simulator;
 
   /// The active test program: vector + immutable diagnosis engine.
   std::shared_ptr<const core::DiagnosisEngine> engine;
@@ -372,21 +372,12 @@ mna::AcResponse Session::measure(
     const faults::ParametricFault& fault,
     std::optional<std::uint64_t> noise_seed) const {
   const core::TestVector vector = this->vector();
-  std::shared_ptr<const faults::FaultSimulator> simulator;
-  {
-    // The simulator's const interface is stateless, so one shared
-    // instance serves every measure() call (and thread).
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    if (!state_->simulator) {
-      state_->simulator = std::make_shared<const faults::FaultSimulator>(
-          state_->cut, state_->options.sim);
-    }
-    simulator = state_->simulator;
-  }
-  const faults::MeasurementNoise noise{
-      state_->options.noise.sigma,
-      noise_seed.value_or(state_->options.noise.seed)};
-  return simulator->measure(fault, vector.frequencies_hz, noise);
+  const circuits::CircuitUnderTest& cut = state_->cut;
+  return faults::add_measurement_noise(
+      mna::AcAnalysis(faults::inject(cut.circuit, fault))
+          .sweep(vector.frequencies_hz, cut.output_node),
+      {state_->options.noise.sigma,
+       noise_seed.value_or(state_->options.noise.seed)});
 }
 
 core::Point Session::observe(const mna::AcResponse& measured) const {

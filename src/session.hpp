@@ -13,9 +13,9 @@
 ///
 /// The expensive artefact — the fault dictionary — is built lazily and
 /// cached process-wide behind `std::shared_ptr<const FaultDictionary>`:
-/// every Session (and legacy AtpgFlow) describing the same CUT + deviation
-/// grid shares one simulation pass, so concurrent flows, repeated queries
-/// and forked configurations never pay for fault simulation twice.
+/// every Session describing the same CUT + deviation grid shares one
+/// simulation pass, so concurrent sessions, repeated queries and forked
+/// configurations never pay for fault simulation twice.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +64,7 @@ using service::ServiceOptions;
     const circuits::CircuitUnderTest& cut, const faults::DeviationSpec& spec,
     const faults::SimOptions& sim);
 
-/// Typed configuration of the test-frequency search (replaces the old
-/// string-keyed AtpgConfig fields).
+/// Typed configuration of the test-frequency search.
 struct SearchOptions {
   /// Number of test frequencies in the vector (the paper uses 2).
   std::size_t n_frequencies = 2;
@@ -171,8 +170,8 @@ public:
   [[nodiscard]] const SessionOptions& options() const;
 
   /// The fault dictionary: built on first access (one AC sweep per fault),
-  /// then shared process-wide with every other Session/flow describing the
-  /// same CUT and deviation grid.  The returned pointer is immutable and
+  /// then shared process-wide with every other Session describing the same
+  /// CUT and deviation grid.  The returned pointer is immutable and
   /// safe to retain beyond the Session's lifetime.
   [[nodiscard]] std::shared_ptr<const faults::FaultDictionary> dictionary()
       const;

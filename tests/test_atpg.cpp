@@ -1,65 +1,70 @@
-#include "core/atpg.hpp"
+/// The ATPG-for-diagnosis flow through the Session facade: configuration
+/// validation, genome decoding, the paper GA on nf_biquad and the
+/// alternative search set-ups (baseline optimizer, fitness kinds,
+/// sensitivity seeding, three test frequencies).
+#include "session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "circuits/nf_biquad.hpp"
 #include "ga/baselines.hpp"
 #include "util/error.hpp"
 
-namespace ftdiag::core {
+namespace ftdiag {
 namespace {
 
 class AtpgTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    flow_ = new AtpgFlow(circuits::make_paper_cut());
+    session_ = new Session(Session::open("builtin:nf_biquad"));
   }
   static void TearDownTestSuite() {
-    delete flow_;
-    flow_ = nullptr;
+    delete session_;
+    session_ = nullptr;
   }
-  static AtpgFlow* flow_;
+  static Session* session_;
 };
 
-AtpgFlow* AtpgTest::flow_ = nullptr;
+Session* AtpgTest::session_ = nullptr;
 
-TEST(AtpgConfig, DefaultsAreValid) { EXPECT_NO_THROW(AtpgConfig{}.check()); }
+TEST(AtpgOptions, DefaultsAreValid) {
+  EXPECT_NO_THROW(SessionOptions{}.check());
+}
 
-TEST(AtpgConfig, BadConfigsRejected) {
-  AtpgConfig no_freq;
-  no_freq.n_frequencies = 0;
+TEST(AtpgOptions, BadConfigsRejected) {
+  SessionOptions no_freq;
+  no_freq.search.n_frequencies = 0;
   EXPECT_THROW(no_freq.check(), ConfigError);
 
-  // Fitness selection is typed now; bad names die at the parse helper.
-  EXPECT_THROW(parse_fitness_kind("nope"), ConfigError);
+  // Fitness selection is typed; bad names die at the parse helper.
+  EXPECT_THROW(core::parse_fitness_kind("nope"), ConfigError);
 
-  AtpgConfig bad_ga;
-  bad_ga.ga.population_size = 0;
+  SessionOptions bad_ga;
+  bad_ga.search.ga.population_size = 0;
   EXPECT_THROW(bad_ga.check(), ConfigError);
 }
 
 TEST(Atpg, ToTestVectorConvertsAndSorts) {
-  const auto tv = AtpgFlow::to_test_vector({4.0, 2.0});  // 10^4, 10^2
+  const auto tv = Session::to_test_vector({4.0, 2.0});  // 10^4, 10^2
   ASSERT_EQ(tv.frequencies_hz.size(), 2u);
   EXPECT_NEAR(tv.frequencies_hz[0], 100.0, 1e-9);
   EXPECT_NEAR(tv.frequencies_hz[1], 10000.0, 1e-6);
 }
 
 TEST_F(AtpgTest, BoundsDerivedFromBand) {
-  const auto bounds = flow_->bounds();
+  const auto bounds = session_->bounds();
   EXPECT_NEAR(bounds.lo, 1.0, 1e-12);  // 10 Hz
   EXPECT_NEAR(bounds.hi, 5.0, 1e-12);  // 100 kHz
 }
 
-TEST_F(AtpgTest, DictionaryBuiltEagerly) {
-  EXPECT_EQ(flow_->dictionary().fault_count(), 56u);
-  EXPECT_EQ(flow_->cut().name, "nf_biquad");
+TEST_F(AtpgTest, DictionaryCoversThePaperUniverse) {
+  EXPECT_EQ(session_->dictionary()->fault_count(), 56u);
+  EXPECT_EQ(session_->cut().name, "nf_biquad");
 }
 
 TEST_F(AtpgTest, PaperGaFindsNonIntersectingVector) {
-  const AtpgResult result = flow_->run();
+  const TestGenResult result = session_->run_search();
   // The headline reproduction: the GA must find a frequency pair whose
   // seven trajectories do not intersect (fitness 1 = zero intersections).
   EXPECT_DOUBLE_EQ(result.best.fitness, 1.0);
@@ -72,7 +77,7 @@ TEST_F(AtpgTest, PaperGaFindsNonIntersectingVector) {
 }
 
 TEST_F(AtpgTest, ConvergenceHistoryIsMonotoneInBest) {
-  const AtpgResult result = flow_->run();
+  const TestGenResult result = session_->run_search();
   double prev = 0.0;
   for (const auto& g : result.search.history) {
     EXPECT_GE(g.best + 1e-12, prev);  // elitism forbids regression
@@ -83,31 +88,32 @@ TEST_F(AtpgTest, ConvergenceHistoryIsMonotoneInBest) {
 }
 
 TEST_F(AtpgTest, DeterministicForFixedSeed) {
-  const AtpgResult a = flow_->run();
-  const AtpgResult b = flow_->run();
+  const TestGenResult a = session_->run_search();
+  const TestGenResult b = session_->run_search();
   EXPECT_EQ(a.best.vector.frequencies_hz, b.best.vector.frequencies_hz);
   EXPECT_EQ(a.search.evaluations, b.search.evaluations);
 }
 
 TEST_F(AtpgTest, RunWithBaselineOptimizer) {
   const ga::RandomSearch random(512);
-  const AtpgResult result = flow_->run_with(random, 7);
+  const TestGenResult result = session_->run_search(random, 7);
   EXPECT_GT(result.best.fitness, 0.0);
   EXPECT_EQ(result.search.evaluations, 512u);
 }
 
 TEST_F(AtpgTest, ScoreExternalVector) {
-  const auto score = flow_->score({{700.0, 1600.0}});
+  const auto score = session_->score({{700.0, 1600.0}});
   EXPECT_GT(score.fitness, 0.0);
   EXPECT_EQ(score.vector.frequencies_hz.size(), 2u);
 }
 
 TEST(Atpg, SeparationFitnessFlowAlsoConverges) {
-  AtpgConfig config;
-  config.fitness = FitnessKind::kSeparation;
-  config.ga.generations = 8;
-  const AtpgFlow flow(circuits::make_paper_cut(), config);
-  const AtpgResult result = flow.run();
+  SearchOptions search;
+  search.fitness = FitnessKind::kSeparation;
+  search.ga.generations = 8;
+  const Session session =
+      SessionBuilder::from_registry("nf_biquad").search(search).build();
+  const TestGenResult result = session.run_search();
   EXPECT_GT(result.best.fitness, 0.1);
   // A good separation vector should also have zero intersections here.
   EXPECT_EQ(result.best.intersections, 0u);
@@ -116,26 +122,28 @@ TEST(Atpg, SeparationFitnessFlowAlsoConverges) {
 TEST(Atpg, SensitivitySeededFlowStartsStrong) {
   // Seeded with screened frequency pairs, the very first generation's best
   // must already be high on the continuous hybrid objective.
-  AtpgConfig seeded;
+  SearchOptions seeded;
   seeded.fitness = FitnessKind::kHybrid;
   seeded.seed_with_sensitivity = true;
   seeded.ga.generations = 3;
-  const AtpgFlow flow(circuits::make_paper_cut(), seeded);
-  const AtpgResult result = flow.run();
+  const Session session =
+      SessionBuilder::from_registry("nf_biquad").search(seeded).build();
+  const TestGenResult result = session.run_search();
   EXPECT_GT(result.search.history.front().best, 0.70);
   EXPECT_EQ(result.best.intersections, 0u);
 }
 
 TEST(Atpg, ThreeFrequencyFlow) {
-  AtpgConfig config;
-  config.n_frequencies = 3;
-  config.ga.generations = 5;
-  config.ga.population_size = 32;
-  const AtpgFlow flow(circuits::make_paper_cut(), config);
-  const AtpgResult result = flow.run();
+  SearchOptions search;
+  search.n_frequencies = 3;
+  search.ga.generations = 5;
+  search.ga.population_size = 32;
+  const Session session =
+      SessionBuilder::from_registry("nf_biquad").search(search).build();
+  const TestGenResult result = session.run_search();
   EXPECT_EQ(result.best.vector.frequencies_hz.size(), 3u);
   EXPECT_GT(result.best.fitness, 0.0);
 }
 
 }  // namespace
-}  // namespace ftdiag::core
+}  // namespace ftdiag

@@ -3,17 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace ftdiag::ga {
 namespace {
 
-double bump(const std::vector<double>& genes) {
-  double acc = 1.0;
-  for (double g : genes) acc *= std::exp(-(g - 3.0) * (g - 3.0));
-  return acc;
-}
+/// Smooth single-peak objective over [0, 5]^n with optimum at 3.0, scored
+/// one genome at a time; \p inspect, when set, sees every genome first.
+class Bump final : public BatchObjective {
+public:
+  using Inspect = std::function<void(const std::vector<double>&)>;
+  explicit Bump(Inspect inspect = {}) : inspect_(std::move(inspect)) {}
+
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    std::vector<double> scores;
+    scores.reserve(genomes.size());
+    for (const auto& genes : genomes) {
+      if (inspect_) inspect_(genes);
+      double acc = 1.0;
+      for (double g : genes) acc *= std::exp(-(g - 3.0) * (g - 3.0));
+      scores.push_back(acc);
+    }
+    return scores;
+  }
+
+private:
+  Inspect inspect_;
+};
+
+const Bump bump;
 
 TEST(RandomSearch, UsesExactBudget) {
   const RandomSearch rs(300);
@@ -98,13 +120,12 @@ TEST(AllBaselines, RespectBoundsAndReportNames) {
   auto check = [&](const FrequencyOptimizer& opt) {
     Rng rng(6);
     const auto result = opt.optimize(
-        [&](const std::vector<double>& genes) {
+        Bump([&](const std::vector<double>& genes) {
           for (double g : genes) {
             EXPECT_GE(g, bounds.lo - 1e-12) << opt.name();
             EXPECT_LE(g, bounds.hi + 1e-12) << opt.name();
           }
-          return bump(genes);
-        },
+        }),
         2, bounds, rng);
     EXPECT_FALSE(result.best.genes.empty()) << opt.name();
     EXPECT_FALSE(opt.name().empty());

@@ -4,7 +4,7 @@
 
 #include "circuits/nf_biquad.hpp"
 #include "core/test_vector.hpp"
-#include "faults/fault_simulator.hpp"
+#include "faults/dictionary.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::core {

@@ -3,8 +3,8 @@
 #include "circuits/nf_biquad.hpp"
 #include "faults/fault.hpp"
 #include "faults/fault_injector.hpp"
-#include "faults/fault_simulator.hpp"
 #include "faults/fault_universe.hpp"
+#include "mna/ac_analysis.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::faults {
@@ -128,51 +128,45 @@ TEST(Injector, MultiFault) {
   EXPECT_NEAR(faulty.value_of("C1"), cut.circuit.value_of("C1") * 0.9, 1e-18);
 }
 
-TEST(Simulator, GoldenMatchesDirectAnalysis) {
+/// AC response of the paper CUT with \p fault injected.
+mna::AcResponse faulty_response(const ParametricFault& fault,
+                                const std::vector<double>& freqs) {
   const auto cut = circuits::make_paper_cut();
-  const FaultSimulator sim(cut);
-  const auto golden = sim.golden({100.0, 1000.0});
-  EXPECT_EQ(golden.size(), 2u);
-  EXPECT_NEAR(golden.magnitude(0), 1.0, 1e-3);
+  return mna::AcAnalysis(inject(cut.circuit, fault))
+      .sweep(freqs, cut.output_node);
 }
 
-TEST(Simulator, FaultyResponseDiffersFromGolden) {
+TEST(Injector, FaultyResponseDiffersFromGolden) {
   const auto cut = circuits::make_paper_cut();
-  const FaultSimulator sim(cut);
   const std::vector<double> freqs = {100.0, 1000.0, 5000.0};
-  const auto golden = sim.golden(freqs);
-  const auto faulty = sim.simulate({FaultSite::value_of("C1"), 0.40}, freqs);
+  const auto golden =
+      mna::AcAnalysis(cut.circuit).sweep(freqs, cut.output_node);
+  EXPECT_NEAR(golden.magnitude(0), 1.0, 1e-3);
+  const auto faulty = faulty_response({FaultSite::value_of("C1"), 0.40}, freqs);
   EXPECT_GT(faulty.max_deviation(golden), 1e-4);
 }
 
-TEST(Simulator, NoiseZeroSigmaIsIdentity) {
-  const auto cut = circuits::make_paper_cut();
-  const FaultSimulator sim(cut);
-  const std::vector<double> freqs = {1000.0};
-  const auto clean = sim.simulate({FaultSite::value_of("R2"), 0.2}, freqs);
-  const auto measured =
-      sim.measure({FaultSite::value_of("R2"), 0.2}, freqs, {0.0, 1});
+TEST(MeasurementNoise, ZeroSigmaIsIdentity) {
+  const auto clean =
+      faulty_response({FaultSite::value_of("R2"), 0.2}, {1000.0});
+  const auto measured = add_measurement_noise(clean, {0.0, 1});
   EXPECT_DOUBLE_EQ(clean.magnitude(0), measured.magnitude(0));
 }
 
-TEST(Simulator, NoisePerturbsMagnitudeOnly) {
-  const auto cut = circuits::make_paper_cut();
-  const FaultSimulator sim(cut);
-  const std::vector<double> freqs = {1000.0};
-  const auto clean = sim.simulate({FaultSite::value_of("R2"), 0.2}, freqs);
-  const auto noisy =
-      sim.measure({FaultSite::value_of("R2"), 0.2}, freqs, {0.05, 99});
+TEST(MeasurementNoise, PerturbsMagnitudeOnly) {
+  const auto clean =
+      faulty_response({FaultSite::value_of("R2"), 0.2}, {1000.0});
+  const auto noisy = add_measurement_noise(clean, {0.05, 99});
   EXPECT_NE(clean.magnitude(0), noisy.magnitude(0));
   // Phase preserved by multiplicative magnitude noise.
   EXPECT_NEAR(clean.phase_deg(0), noisy.phase_deg(0), 1e-9);
 }
 
-TEST(Simulator, NoiseIsDeterministicPerSeed) {
-  const auto cut = circuits::make_paper_cut();
-  const FaultSimulator sim(cut);
-  const std::vector<double> freqs = {500.0, 2000.0};
-  const auto a = sim.measure({FaultSite::value_of("C2"), 0.1}, freqs, {0.02, 7});
-  const auto b = sim.measure({FaultSite::value_of("C2"), 0.1}, freqs, {0.02, 7});
+TEST(MeasurementNoise, IsDeterministicPerSeed) {
+  const auto clean =
+      faulty_response({FaultSite::value_of("C2"), 0.1}, {500.0, 2000.0});
+  const auto a = add_measurement_noise(clean, {0.02, 7});
+  const auto b = add_measurement_noise(clean, {0.02, 7});
   EXPECT_DOUBLE_EQ(a.magnitude(0), b.magnitude(0));
   EXPECT_DOUBLE_EQ(a.magnitude(1), b.magnitude(1));
 }

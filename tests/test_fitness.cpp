@@ -80,10 +80,12 @@ TEST(HybridFitness, WeightOutOfRangeRejected) {
 }
 
 TEST(Factory, ByName) {
-  EXPECT_EQ(make_fitness("paper")->name(), "paper-1/(1+I)");
-  EXPECT_EQ(make_fitness("separation")->name(), "separation");
-  EXPECT_EQ(make_fitness("hybrid")->name(), "hybrid");
-  EXPECT_THROW(make_fitness("bogus"), ConfigError);
+  EXPECT_EQ(make_fitness(parse_fitness_kind("paper"))->name(),
+            "paper-1/(1+I)");
+  EXPECT_EQ(make_fitness(parse_fitness_kind("separation"))->name(),
+            "separation");
+  EXPECT_EQ(make_fitness(parse_fitness_kind("hybrid"))->name(), "hybrid");
+  EXPECT_THROW(make_fitness(parse_fitness_kind("bogus")), ConfigError);
 }
 
 TEST(Factory, ByKind) {
@@ -113,7 +115,7 @@ TEST(Fitness, OrderingMatchesDiagnosability) {
   const std::vector<FaultTrajectory> coincident = {ray("A", 1, 1),
                                                    ray("B", 1, 1)};
   for (const char* name : {"paper", "hybrid"}) {
-    const auto fitness = make_fitness(name);
+    const auto fitness = make_fitness(parse_fitness_kind(name));
     EXPECT_GT(fitness->evaluate(separated), fitness->evaluate(crossing))
         << name;
     EXPECT_GE(fitness->evaluate(crossing), fitness->evaluate(coincident))

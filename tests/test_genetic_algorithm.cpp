@@ -3,18 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace ftdiag::ga {
 namespace {
 
-/// Smooth single-peak objective over [0, 5]^n with optimum at 3.0.
-double bump(const std::vector<double>& genes) {
-  double acc = 1.0;
-  for (double g : genes) acc *= std::exp(-(g - 3.0) * (g - 3.0));
-  return acc;
-}
+/// Smooth single-peak objective over [0, 5]^n with optimum at 3.0, scored
+/// one genome at a time; \p inspect, when set, sees every genome first.
+class Bump final : public BatchObjective {
+public:
+  using Inspect = std::function<void(const std::vector<double>&)>;
+  explicit Bump(Inspect inspect = {}) : inspect_(std::move(inspect)) {}
+
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    std::vector<double> scores;
+    scores.reserve(genomes.size());
+    for (const auto& genes : genomes) {
+      if (inspect_) inspect_(genes);
+      double acc = 1.0;
+      for (double g : genes) acc *= std::exp(-(g - 3.0) * (g - 3.0));
+      scores.push_back(acc);
+    }
+    return scores;
+  }
+
+private:
+  Inspect inspect_;
+};
+
+const Bump bump;
 
 TEST(GaConfig, PaperParameters) {
   const GaConfig paper = GaConfig::paper();
@@ -143,13 +164,12 @@ TEST(Ga, GenesStayWithinBounds) {
   Rng rng(11);
   const GeneBounds bounds{1.0, 2.0};
   const auto result = ga.optimize(
-      [&](const std::vector<double>& genes) {
+      Bump([&](const std::vector<double>& genes) {
         for (double g : genes) {
           EXPECT_GE(g, bounds.lo);
           EXPECT_LE(g, bounds.hi);
         }
-        return bump(genes);
-      },
+      }),
       2, bounds, rng);
   for (double g : result.best.genes) {
     EXPECT_GE(g, bounds.lo);
@@ -203,11 +223,10 @@ TEST(Ga, SeedGenomesClampedToBounds) {
   const GeneticAlgorithm ga(config);
   Rng rng(29);
   const auto result = ga.optimize(
-      [&](const std::vector<double>& genes) {
+      Bump([&](const std::vector<double>& genes) {
         EXPECT_GE(genes[0], 1.0);
         EXPECT_LE(genes[1], 2.0);
-        return bump(genes);
-      },
+      }),
       2, {1.0, 2.0}, rng);
   (void)result;
 }

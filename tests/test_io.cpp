@@ -4,11 +4,10 @@
 #include <fstream>
 #include <sstream>
 
-#include "circuits/nf_biquad.hpp"
-#include "core/atpg.hpp"
 #include "core/evaluation.hpp"
 #include "io/exporters.hpp"
 #include "io/report.hpp"
+#include "session.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 
@@ -18,39 +17,39 @@ namespace {
 class IoTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    flow_ = new core::AtpgFlow(circuits::make_paper_cut());
+    session_ = new Session(Session::open("builtin:nf_biquad"));
   }
   static void TearDownTestSuite() {
-    delete flow_;
-    flow_ = nullptr;
+    delete session_;
+    session_ = nullptr;
   }
-  static core::AtpgFlow* flow_;
+  static Session* session_;
 };
 
-core::AtpgFlow* IoTest::flow_ = nullptr;
+Session* IoTest::session_ = nullptr;
 
 TEST_F(IoTest, ResponseCsvHasExpectedColumns) {
   std::ostringstream os;
-  write_response_csv(os, flow_->dictionary().golden());
+  write_response_csv(os, session_->dictionary()->golden());
   const auto table = csv::parse(os.str());
   EXPECT_EQ(table.header,
             (std::vector<std::string>{"freq_hz", "mag", "mag_db", "phase_deg"}));
-  EXPECT_EQ(table.rows.size(), flow_->dictionary().golden().size());
+  EXPECT_EQ(table.rows.size(), session_->dictionary()->golden().size());
 }
 
 TEST_F(IoTest, DictionaryCsvOneColumnPerFault) {
   std::ostringstream os;
-  write_dictionary_csv(os, flow_->dictionary());
+  write_dictionary_csv(os, *session_->dictionary());
   const auto table = csv::parse(os.str());
-  EXPECT_EQ(table.header.size(), 2u + flow_->dictionary().fault_count());
+  EXPECT_EQ(table.header.size(), 2u + session_->dictionary()->fault_count());
   EXPECT_EQ(table.header[0], "freq_hz");
   EXPECT_EQ(table.header[1], "golden");
   EXPECT_EQ(table.header[2], "Ra-40%");
-  EXPECT_EQ(table.rows.size(), flow_->dictionary().frequencies().size());
+  EXPECT_EQ(table.rows.size(), session_->dictionary()->frequencies().size());
 }
 
 TEST_F(IoTest, TrajectoryCsvRoundTrip) {
-  const auto trajs = flow_->evaluator().trajectories({{400.0, 1300.0}});
+  const auto trajs = session_->evaluator().trajectories({{400.0, 1300.0}});
   std::ostringstream os;
   write_trajectories_csv(os, trajs);
   const auto table = csv::parse(os.str());
@@ -61,7 +60,7 @@ TEST_F(IoTest, TrajectoryCsvRoundTrip) {
 }
 
 TEST_F(IoTest, GnuplotScriptMentionsEverySite) {
-  const auto trajs = flow_->evaluator().trajectories({{400.0, 1300.0}});
+  const auto trajs = session_->evaluator().trajectories({{400.0, 1300.0}});
   const std::string script =
       trajectory_gnuplot_script(trajs, "trajs.csv", "paper CUT");
   for (const auto& t : trajs) {
@@ -72,7 +71,7 @@ TEST_F(IoTest, GnuplotScriptMentionsEverySite) {
 
 TEST_F(IoTest, GnuplotRequires2d) {
   const auto trajs =
-      flow_->evaluator().trajectories({{200.0, 1000.0, 5000.0}});
+      session_->evaluator().trajectories({{200.0, 1000.0, 5000.0}});
   EXPECT_THROW(trajectory_gnuplot_script(trajs, "x.csv", "t"), ConfigError);
 }
 
@@ -88,7 +87,7 @@ TEST(WriteFile, WritesAndFailsCleanly) {
 }
 
 TEST_F(IoTest, AtpgReportContainsKeyNumbers) {
-  const auto result = flow_->run();
+  const auto result = session_->run_search();
   std::ostringstream os;
   print_atpg_report(os, result);
   const std::string report = os.str();
@@ -99,7 +98,7 @@ TEST_F(IoTest, AtpgReportContainsKeyNumbers) {
 }
 
 TEST_F(IoTest, DiagnosisReportRanksCandidates) {
-  const auto engine = flow_->evaluator().make_engine({{400.0, 1300.0}});
+  const auto engine = session_->evaluator().make_engine({{400.0, 1300.0}});
   const auto diagnosis = engine.diagnose({0.01, -0.02});
   std::ostringstream os;
   print_diagnosis(os, diagnosis, 2);
@@ -112,7 +111,7 @@ TEST_F(IoTest, AccuracyReportIncludesConfusionMatrix) {
   core::EvaluationOptions options;
   options.trials = 30;
   const auto report = core::evaluate_diagnosis(
-      flow_->cut(), flow_->dictionary(), {{700.0, 1600.0}},
+      session_->cut(), *session_->dictionary(), {{700.0, 1600.0}},
       core::SamplingPolicy{}, options);
   std::ostringstream os;
   print_accuracy_report(os, report);

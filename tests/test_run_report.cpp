@@ -2,34 +2,32 @@
 
 #include <gtest/gtest.h>
 
-#include "circuits/nf_biquad.hpp"
-
 namespace ftdiag::io {
 namespace {
 
 class RunReportTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    flow_ = new core::AtpgFlow(circuits::make_paper_cut());
-    result_ = new core::AtpgResult(flow_->run());
+    session_ = new Session(Session::open("builtin:nf_biquad"));
+    result_ = new TestGenResult(session_->run_search());
   }
   static void TearDownTestSuite() {
     delete result_;
-    delete flow_;
+    delete session_;
     result_ = nullptr;
-    flow_ = nullptr;
+    session_ = nullptr;
   }
-  static core::AtpgFlow* flow_;
-  static core::AtpgResult* result_;
+  static Session* session_;
+  static TestGenResult* result_;
 };
 
-core::AtpgFlow* RunReportTest::flow_ = nullptr;
-core::AtpgResult* RunReportTest::result_ = nullptr;
+Session* RunReportTest::session_ = nullptr;
+TestGenResult* RunReportTest::result_ = nullptr;
 
 TEST_F(RunReportTest, ContainsAllSections) {
   RunReportOptions options;
   options.evaluation.trials = 40;
-  const std::string report = render_run_report(*flow_, *result_, options);
+  const std::string report = render_run_report(*session_, *result_, options);
   EXPECT_NE(report.find("# Fault-trajectory test program: nf_biquad"),
             std::string::npos);
   EXPECT_NE(report.find("## Configuration"), std::string::npos);
@@ -41,7 +39,7 @@ TEST_F(RunReportTest, ContainsAllSections) {
 TEST_F(RunReportTest, ListsTestablesAndGroups) {
   RunReportOptions options;
   options.include_evaluation = false;
-  const std::string report = render_run_report(*flow_, *result_, options);
+  const std::string report = render_run_report(*session_, *result_, options);
   EXPECT_NE(report.find("Ra, Rb, R1, R2, R3, C1, C2"), std::string::npos);
   EXPECT_NE(report.find("ambiguity groups"), std::string::npos);
 }
@@ -49,17 +47,18 @@ TEST_F(RunReportTest, ListsTestablesAndGroups) {
 TEST_F(RunReportTest, EvaluationCanBeDisabled) {
   RunReportOptions options;
   options.include_evaluation = false;
-  const std::string report = render_run_report(*flow_, *result_, options);
+  const std::string report = render_run_report(*session_, *result_, options);
   EXPECT_EQ(report.find("## Diagnosis evaluation"), std::string::npos);
 }
 
 TEST_F(RunReportTest, TrajectoriesOptIn) {
   RunReportOptions options;
   options.include_evaluation = false;
-  EXPECT_EQ(render_run_report(*flow_, *result_, options).find("## Trajectories"),
-            std::string::npos);
+  EXPECT_EQ(
+      render_run_report(*session_, *result_, options).find("## Trajectories"),
+      std::string::npos);
   options.include_trajectories = true;
-  const std::string verbose = render_run_report(*flow_, *result_, options);
+  const std::string verbose = render_run_report(*session_, *result_, options);
   EXPECT_NE(verbose.find("## Trajectories"), std::string::npos);
   EXPECT_NE(verbose.find("| R3 | +40% |"), std::string::npos);
 }
@@ -67,14 +66,14 @@ TEST_F(RunReportTest, TrajectoriesOptIn) {
 TEST_F(RunReportTest, ReportsTheChosenVector) {
   RunReportOptions options;
   options.include_evaluation = false;
-  const std::string report = render_run_report(*flow_, *result_, options);
+  const std::string report = render_run_report(*session_, *result_, options);
   EXPECT_NE(report.find(result_->best.vector.label()), std::string::npos);
 }
 
 TEST_F(RunReportTest, ConvergenceTableCoversAllGenerations) {
   RunReportOptions options;
   options.include_evaluation = false;
-  const std::string report = render_run_report(*flow_, *result_, options);
+  const std::string report = render_run_report(*session_, *result_, options);
   // 16 history rows (gen 0..15) -> the last generation number appears.
   EXPECT_NE(report.find("| 15 |"), std::string::npos);
 }

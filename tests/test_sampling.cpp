@@ -5,7 +5,8 @@
 #include <cmath>
 
 #include "circuits/nf_biquad.hpp"
-#include "faults/fault_simulator.hpp"
+#include "faults/fault_injector.hpp"
+#include "mna/ac_analysis.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag::core {
@@ -15,24 +16,33 @@ class SamplingTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
     cut_ = new circuits::CircuitUnderTest(circuits::make_paper_cut());
-    sim_ = new faults::FaultSimulator(*cut_);
-    golden_ = new mna::AcResponse(sim_->golden(sim_->dictionary_frequencies()));
+    golden_ = new mna::AcResponse(
+        mna::AcAnalysis(cut_->circuit).sweep(grid(), cut_->output_node));
   }
   static void TearDownTestSuite() {
     delete golden_;
-    delete sim_;
     delete cut_;
     golden_ = nullptr;
-    sim_ = nullptr;
     cut_ = nullptr;
   }
+
+  /// The CUT's dictionary grid.
+  static std::vector<double> grid() {
+    return cut_->dictionary_grid.frequencies();
+  }
+
+  /// Response of the CUT with \p fault injected.
+  static mna::AcResponse simulate(const faults::ParametricFault& fault,
+                                  const std::vector<double>& freqs) {
+    return mna::AcAnalysis(faults::inject(cut_->circuit, fault))
+        .sweep(freqs, cut_->output_node);
+  }
+
   static circuits::CircuitUnderTest* cut_;
-  static faults::FaultSimulator* sim_;
   static mna::AcResponse* golden_;
 };
 
 circuits::CircuitUnderTest* SamplingTest::cut_ = nullptr;
-faults::FaultSimulator* SamplingTest::sim_ = nullptr;
 mna::AcResponse* SamplingTest::golden_ = nullptr;
 
 TEST_F(SamplingTest, GoldenMapsToOriginWhenRelative) {
@@ -55,8 +65,8 @@ TEST_F(SamplingTest, AbsolutePolicyKeepsRawMagnitudes) {
 
 TEST_F(SamplingTest, FaultMovesThePointAwayFromOrigin) {
   const SpectralSampler sampler(*golden_, SamplingPolicy{});
-  const auto faulty = sim_->simulate(
-      {faults::FaultSite::value_of("C1"), 0.30}, sim_->dictionary_frequencies());
+  const auto faulty =
+      simulate({faults::FaultSite::value_of("C1"), 0.30}, grid());
   const Point p = sampler.sample(faulty, {500.0, 1500.0});
   EXPECT_GT(norm(p), 1e-4);
 }
@@ -81,8 +91,8 @@ TEST_F(SamplingTest, PhaseAugmentationDoublesDimension) {
 
 TEST_F(SamplingTest, SamplingOrderMatchesFrequencyOrder) {
   const SpectralSampler sampler(*golden_, SamplingPolicy{});
-  const auto faulty = sim_->simulate(
-      {faults::FaultSite::value_of("R2"), 0.40}, sim_->dictionary_frequencies());
+  const auto faulty =
+      simulate({faults::FaultSite::value_of("R2"), 0.40}, grid());
   const Point p12 = sampler.sample(faulty, {300.0, 3000.0});
   const Point p21 = sampler.sample(faulty, {3000.0, 300.0});
   EXPECT_DOUBLE_EQ(p12[0], p21[1]);
@@ -93,10 +103,9 @@ TEST_F(SamplingTest, InterpolatedOffGridSamplingIsClose) {
   // Sample at an off-grid frequency; compare against direct simulation.
   const SpectralSampler sampler(*golden_, SamplingPolicy{});
   const faults::ParametricFault fault{faults::FaultSite::value_of("R3"), 0.2};
-  const auto on_dict =
-      sim_->simulate(fault, sim_->dictionary_frequencies());
+  const auto on_dict = simulate(fault, grid());
   const double f_off = 1234.567;
-  const auto exact = sim_->simulate(fault, {f_off});
+  const auto exact = simulate(fault, {f_off});
   const Point p_interp = sampler.sample(on_dict, {f_off});
   const Point p_exact = sampler.sample(exact, {f_off});
   EXPECT_NEAR(p_interp[0], p_exact[0], 5e-4);

@@ -7,9 +7,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "circuits/registry.hpp"
 #include "core/ambiguity.hpp"
-#include "core/atpg.hpp"
 #include "util/error.hpp"
 
 namespace ftdiag {
@@ -87,16 +85,6 @@ TEST(SessionDictionary, SharedAcrossSessionsOfTheSameCut) {
   // Pointer identity: the second session found the first one's build in
   // the process-wide cache instead of re-running fault simulation.
   EXPECT_EQ(dict_a.get(), dict_b.get());
-  EXPECT_EQ(Session::dictionary_cache_size(), 1u);
-}
-
-TEST(SessionDictionary, LegacyAtpgFlowSharesTheSameCache) {
-  Session::clear_dictionary_cache();
-  Session session = Session::open("builtin:tow_thomas");
-  const auto dict = session.dictionary();
-
-  const core::AtpgFlow flow(circuits::make_by_name("tow_thomas"));
-  EXPECT_EQ(&flow.dictionary(), dict.get());
   EXPECT_EQ(Session::dictionary_cache_size(), 1u);
 }
 

@@ -15,8 +15,9 @@
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
 #include "faults/dictionary.hpp"
-#include "faults/fault_simulator.hpp"
+#include "faults/fault_injector.hpp"
 #include "faults/fault_universe.hpp"
+#include "mna/ac_analysis.hpp"
 #include "mna/frequency_grid.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -40,11 +41,13 @@ struct Reference {
 Reference naive_reference(const circuits::CircuitUnderTest& cut,
                           const std::vector<ParametricFault>& faults,
                           const std::vector<double>& frequencies_hz) {
-  const FaultSimulator simulator(cut);
-  Reference reference{simulator.golden(frequencies_hz), {}};
+  auto sweep = [&](const netlist::Circuit& circuit) {
+    return mna::AcAnalysis(circuit).sweep(frequencies_hz, cut.output_node);
+  };
+  Reference reference{sweep(cut.circuit), {}};
   reference.responses.reserve(faults.size());
   for (const auto& fault : faults) {
-    reference.responses.push_back(simulator.simulate(fault, frequencies_hz));
+    reference.responses.push_back(sweep(inject(cut.circuit, fault)));
   }
   return reference;
 }
@@ -248,16 +251,16 @@ TEST(SimulationEngine, SimulateBatchMatchesSingleFaultSimulation) {
   const auto freqs = test_grid(cut);
   const auto faults = FaultUniverse::over_testable(cut).enumerate();
 
-  const FaultSimulator simulator(cut);
-  const BatchResult batch = simulator.simulate_batch(faults, freqs);
+  const BatchResult batch = SimulationEngine(cut).simulate_all(faults, freqs);
+  const Reference reference = naive_reference(cut, faults, freqs);
   // The batched golden comes from the SIMD frequency-block LU, which
   // pivots on |.|^2 and divides via conj/|.|^2 — rounding-level
   // differences from the scalar sweep, not bit identity.
   const double scale = response_scale(batch.golden);
-  expect_close(batch.golden, simulator.golden(freqs), scale, "batch golden");
+  expect_close(batch.golden, reference.golden, scale, "batch golden");
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    expect_close(batch.responses[i], simulator.simulate(faults[i], freqs),
-                 scale, faults[i].label());
+    expect_close(batch.responses[i], reference.responses[i], scale,
+                 faults[i].label());
   }
 }
 

@@ -415,27 +415,6 @@ void BM_FullPaperGa(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPaperGa)->Unit(benchmark::kMillisecond);
 
-/// The pre-batch search path: one genome at a time, uncached trajectory
-/// building, exact all-pairs intersection sweep, one thread.
-class SerialObjective final : public ga::BatchObjective {
-public:
-  explicit SerialObjective(const core::TestVectorEvaluator& evaluator)
-      : evaluator_(evaluator) {}
-
-  [[nodiscard]] std::vector<double> evaluate(
-      const std::vector<std::vector<double>>& genomes) const override {
-    std::vector<double> scores;
-    scores.reserve(genomes.size());
-    for (const auto& genes : genomes) {
-      scores.push_back(evaluator_.fitness(Session::to_test_vector(genes)));
-    }
-    return scores;
-  }
-
-private:
-  const core::TestVectorEvaluator& evaluator_;
-};
-
 /// The seed repository's count_intersections, verbatim: per-call segment
 /// extraction, all-pairs sweep, per-conflict records.  Kept here so
 /// BM_SearchSerial measures the genuine pre-batch-pipeline cost rather
@@ -499,22 +478,29 @@ core::IntersectionReport legacy_count_intersections(
   return report;
 }
 
-/// The paper fitness exactly as computed before the batch pipeline.
-class LegacyPaperFitness final : public core::TrajectoryFitness {
+/// The pre-batch search path: one genome at a time, uncached trajectory
+/// building, the seed's all-pairs intersection sweep, one thread.
+class SerialObjective final : public ga::BatchObjective {
 public:
-  [[nodiscard]] double evaluate(
-      const std::vector<core::FaultTrajectory>& trajectories) const override {
-    const auto report = legacy_count_intersections(trajectories);
-    return 1.0 / (1.0 + static_cast<double>(report.count));
-  }
-  [[nodiscard]] std::string name() const override { return "legacy-paper"; }
-};
+  explicit SerialObjective(const faults::FaultDictionary& dictionary)
+      : dictionary_(dictionary) {}
 
-core::TestVectorEvaluator make_exact_evaluator(
-    const faults::FaultDictionary& dict) {
-  return core::TestVectorEvaluator(dict, {},
-                                   std::make_shared<LegacyPaperFitness>());
-}
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    std::vector<double> scores;
+    scores.reserve(genomes.size());
+    for (const auto& genes : genomes) {
+      const auto trajectories = core::build_trajectories(
+          dictionary_, Session::to_test_vector(genes).frequencies_hz, {});
+      const auto report = legacy_count_intersections(trajectories);
+      scores.push_back(1.0 / (1.0 + static_cast<double>(report.count)));
+    }
+    return scores;
+  }
+
+private:
+  const faults::FaultDictionary& dictionary_;
+};
 
 ga::GaConfig bench_ga_config() {
   ga::GaConfig config;
@@ -525,8 +511,7 @@ ga::GaConfig bench_ga_config() {
 
 BENCHMARK_DEFINE_F(TrajectoryFixture, BM_SearchSerial)
 (benchmark::State& state) {
-  const auto exact_evaluator = make_exact_evaluator(*dict);
-  const SerialObjective objective(exact_evaluator);
+  const SerialObjective objective(*dict);
   const ga::GeneticAlgorithm ga(bench_ga_config());
   for (auto _ : state) {
     Rng rng(42);
@@ -819,8 +804,7 @@ void write_search_report(const char* path) {
   };
 
   std::size_t evaluations = 0;
-  const auto exact_evaluator = make_exact_evaluator(dictionary);
-  const SerialObjective objective(exact_evaluator);
+  const SerialObjective objective(dictionary);
   const double serial_ms = best_of([&] {
     Rng rng(42);
     evaluations = ga.optimize(objective, 2, bounds, rng).evaluations;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -39,12 +39,8 @@ struct PipelineMetrics {
   }
 };
 
-}  // namespace
-
-namespace {
-
-/// Marks the golden point in a site plan.
-constexpr std::size_t kGoldenStep = static_cast<std::size_t>(-1);
+/// Marks a genome answered from the memo in Batch::genome_job.
+constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
 }  // namespace
 
@@ -62,91 +58,97 @@ std::size_t PipelineOptions::resolved_threads() const {
   return util::resolve_threads(threads);
 }
 
-/// Interpolated signature samples of every dictionary entry (and the
-/// golden response) at one quantized frequency.  A column is a pure
-/// function of its key, so concurrent rebuild races are benign.
-struct EvaluationPipeline::Column {
-  double golden_mag = 0.0;
-  double golden_phase = 0.0;
-  std::vector<double> entry_mag;    ///< one slot per dictionary entry
-  std::vector<double> entry_phase;  ///< filled only when the policy needs it
-};
+std::size_t EvaluationPipeline::KeyIndex::hash(
+    std::span<const std::int64_t> keys) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::int64_t k : keys) {
+    h ^= static_cast<std::uint64_t>(k);
+    h *= 1099511628211ull;
+  }
+  // A product only carries low bits upward; fold the high half back down
+  // before the bucket mask keeps the low bits.
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
 
-/// The per-site recipe build_trajectories follows, precomputed once: which
-/// entry (or the golden point) supplies each vertex, in deviation order.
-struct EvaluationPipeline::SitePlan {
-  std::string site;
-  struct Step {
-    std::size_t entry = kGoldenStep;
-    double deviation = 0.0;
-  };
-  std::vector<Step> steps;
-};
+std::pair<std::size_t, bool> EvaluationPipeline::KeyIndex::find_or_insert(
+    std::span<const std::int64_t> keys) {
+  if (2 * (size() + 1) > buckets_.size()) {
+    rehash(std::max<std::size_t>(64, 2 * buckets_.size()));
+  }
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t b = hash(keys) & mask;; b = (b + 1) & mask) {
+    if (buckets_[b] == 0) {
+      keys_.insert(keys_.end(), keys.begin(), keys.end());
+      begin_.push_back(keys_.size());
+      buckets_[b] = static_cast<std::uint32_t>(size());
+      return {size() - 1, true};
+    }
+    const std::size_t e = buckets_[b] - 1;
+    if (std::equal(keys.begin(), keys.end(), keys_.begin() + begin_[e],
+                   keys_.begin() + begin_[e + 1])) {
+      return {e, false};
+    }
+  }
+}
+
+void EvaluationPipeline::KeyIndex::truncate(std::size_t entries) {
+  keys_.resize(begin_[entries]);
+  begin_.resize(entries + 1);
+  rehash(buckets_.size());
+}
+
+void EvaluationPipeline::KeyIndex::rehash(std::size_t buckets) {
+  buckets_.assign(buckets, 0);
+  const std::size_t mask = buckets - 1;
+  for (std::size_t e = 0; e < size(); ++e) {
+    std::size_t b =
+        hash({keys_.data() + begin_[e], keys_.data() + begin_[e + 1]}) & mask;
+    while (buckets_[b] != 0) b = (b + 1) & mask;
+    buckets_[b] = static_cast<std::uint32_t>(e + 1);
+  }
+}
 
 EvaluationPipeline::EvaluationPipeline(const TestVectorEvaluator& evaluator,
                                        PipelineOptions options)
     : evaluator_(evaluator), options_(options) {
   options_.check();
+  const std::size_t threads = options_.resolved_threads();
 
+  // The vertex recipe build_trajectories follows, once for every genome.
   const faults::FaultDictionary& dictionary = evaluator_.dictionary();
-  plans_.reserve(dictionary.site_labels().size());
+  layout_.offsets.push_back(0);
   for (const auto& site : dictionary.site_labels()) {
-    SitePlan plan;
-    plan.site = site;
-    const auto& indices = dictionary.entries_for(site);
-    plan.steps.reserve(indices.size() + 1);
-    bool golden_inserted = false;
-    for (std::size_t idx : indices) {
-      const double deviation = dictionary.entries()[idx].fault.deviation;
-      if (!golden_inserted && deviation > 0.0) {
-        plan.steps.push_back({kGoldenStep, 0.0});
-        golden_inserted = true;
-      }
-      if (deviation == 0.0) {
-        // Universe kept the nominal point explicitly; use the golden
-        // signature for it rather than re-sampling.
-        plan.steps.push_back({kGoldenStep, 0.0});
-        golden_inserted = true;
-        continue;
-      }
-      plan.steps.push_back({idx, deviation});
+    for (const TrajectoryVertex& v : trajectory_vertices(dictionary, site)) {
+      vertex_source_.push_back(static_cast<std::uint32_t>(v.response));
+      vertex_deviation_.push_back(v.deviation);
     }
-    if (!golden_inserted) plan.steps.push_back({kGoldenStep, 0.0});
-    std::stable_sort(plan.steps.begin(), plan.steps.end(),
-                     [](const SitePlan::Step& a, const SitePlan::Step& b) {
-                       return a.deviation < b.deviation;
-                     });
-    plans_.push_back(std::move(plan));
+    layout_.offsets.push_back(static_cast<std::uint32_t>(vertex_source_.size()));
+    layout_.labels.push_back(&site);
   }
+  lanes_.assign(std::max<std::size_t>(1, threads), Lane{layout_, {}});
 
-  // Interpolation tables.  Every response shares the golden's grid:
-  // FaultDictionary::from_parts rejects an entry off it.
-  const mna::AcResponse& golden = dictionary.golden();
-  grid_size_ = golden.size();
-  const std::size_t responses = dictionary.entries().size() + 1;
-  response_values_.reserve(responses);
-  response_values_.push_back(&golden.values());
-  for (const auto& entry : dictionary.entries()) {
-    response_values_.push_back(&entry.response.values());
-  }
-  // Build the interpolation tables straight off the dictionary's
-  // consolidated SoA planes — one linear pass over two contiguous arrays
-  // instead of a pointer-chase through per-entry vectors.  The planes hold
-  // the same bits as values(), and the mag/log/arg math is unchanged, so
-  // columns stay bit-identical to AcResponse::interpolate.
+  // Interpolation tables, built straight off the dictionary's consolidated
+  // SoA planes (which hold the same bits as every response's values()),
+  // one response row per pool item.  Every response shares the golden's
+  // grid: FaultDictionary::from_parts rejects an entry off it.
   const faults::FaultDictionary::SignaturePlanes& planes = dictionary.planes();
-  FTDIAG_ASSERT(planes.grid == grid_size_ && planes.responses == responses,
+  grid_size_ = dictionary.golden().size();
+  responses_ = dictionary.entries().size() + 1;
+  FTDIAG_ASSERT(planes.grid == grid_size_ && planes.responses == responses_,
                 "dictionary planes mismatch the shared grid");
-  table_mag_.resize(responses * grid_size_);
-  table_log_mag_.resize(responses * grid_size_);
-  table_phase_.resize(responses * grid_size_);
-  for (std::size_t i = 0; i < responses * grid_size_; ++i) {
-    const mna::Complex v(planes.re[i], planes.im[i]);
-    const double mag = std::abs(v);
-    table_mag_[i] = mag;
-    table_log_mag_[i] = mag > 0.0 ? std::log(mag) : 0.0;
-    table_phase_[i] = std::arg(v);
-  }
+  table_mag_.resize(responses_ * grid_size_);
+  table_log_mag_.resize(responses_ * grid_size_);
+  table_phase_.resize(responses_ * grid_size_);
+  par::parallel_for(responses_, threads, [&](std::size_t r) {
+    for (std::size_t i = r * grid_size_; i < (r + 1) * grid_size_; ++i) {
+      const mna::Complex v(planes.re[i], planes.im[i]);
+      const double mag = std::abs(v);
+      table_mag_[i] = mag;
+      table_log_mag_[i] = mag > 0.0 ? std::log(mag) : 0.0;
+      table_phase_[i] = std::arg(v);
+    }
+  });
+  column_size_ = responses_ * (evaluator_.policy().include_phase ? 2 : 1);
 }
 
 EvaluationPipeline::~EvaluationPipeline() = default;
@@ -156,215 +158,232 @@ double EvaluationPipeline::snap(double gene) const {
          options_.frequency_quantum;
 }
 
-EvaluationPipeline::Column EvaluationPipeline::build_column(
-    std::int64_t key) const {
-  const double f_hz =
-      std::pow(10.0, static_cast<double>(key) * options_.frequency_quantum);
-  const SamplingPolicy& policy = evaluator_.policy();
-  const faults::FaultDictionary& dictionary = evaluator_.dictionary();
-  const std::size_t entries = dictionary.entries().size();
-
-  Column column;
-  column.entry_mag.resize(entries);
-  if (policy.include_phase) column.entry_phase.resize(entries);
-
-  auto store = [&](std::size_t r, const mna::Complex& h) {
-    const double mag = policy.scale == MagnitudeScale::kLinear
-                           ? std::abs(h)
-                           : linalg::to_db(h);
-    if (r == 0) {
-      column.golden_mag = mag;
-      if (policy.include_phase) column.golden_phase = std::arg(h);
-    } else {
-      column.entry_mag[r - 1] = mag;
-      if (policy.include_phase) column.entry_phase[r - 1] = std::arg(h);
-    }
-  };
-
-  // One locate serves every response; values are reconstructed from the
-  // precomputed tables, bit-identical to AcResponse::interpolate.
-  const mna::AcResponse::GridPosition pos = dictionary.golden().locate(f_hz);
-  constexpr double kPi = 3.14159265358979323846;
-  for (std::size_t r = 0; r < response_values_.size(); ++r) {
-    if (pos.lo == pos.hi) {
-      store(r, (*response_values_[r])[pos.lo]);
-      continue;
-    }
-    const std::size_t base = r * grid_size_;
-    const double mag_a = table_mag_[base + pos.lo];
-    const double mag_b = table_mag_[base + pos.hi];
-    double m;
-    if (mag_a > 0.0 && mag_b > 0.0) {
-      m = std::exp((1.0 - pos.t) * table_log_mag_[base + pos.lo] +
-                   pos.t * table_log_mag_[base + pos.hi]);
-    } else {
-      m = (1.0 - pos.t) * mag_a + pos.t * mag_b;
-    }
-    const double ph_a = table_phase_[base + pos.lo];
-    double ph_b = table_phase_[base + pos.hi];
-    while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
-    while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
-    const double ph = (1.0 - pos.t) * ph_a + pos.t * ph_b;
-    store(r, {m * std::cos(ph), m * std::sin(ph)});
-  }
-  return column;
-}
-
-std::shared_ptr<const EvaluationPipeline::Column>
-EvaluationPipeline::column_for(std::int64_t key) const {
-  if (options_.cache_signatures) {
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        PipelineMetrics::get().column_hits.inc();
-        ++stats_.column_hits;
-        return it->second;
-      }
-    }
-    auto built = std::make_shared<const Column>(build_column(key));
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    PipelineMetrics::get().column_misses.inc();
-    ++stats_.column_misses;
-    // A concurrent builder may have won the race; columns are pure
-    // functions of the key, so keeping the first insertion is safe.
-    auto [it, inserted] = cache_.emplace(key, std::move(built));
-    return it->second;
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    PipelineMetrics::get().column_misses.inc();
-    ++stats_.column_misses;
-  }
-  return std::make_shared<const Column>(build_column(key));
-}
-
-std::vector<FaultTrajectory> EvaluationPipeline::assemble(
-    const std::vector<std::shared_ptr<const Column>>& columns) const {
-  const SamplingPolicy& policy = evaluator_.policy();
-  const std::size_t n = columns.size();
-  const std::size_t dim = policy.dimension(n);
-
-  // The golden signature: the origin under a golden-relative policy, the
-  // raw golden samples otherwise.
-  Point golden(dim, 0.0);
-  if (!policy.golden_relative) {
-    for (std::size_t i = 0; i < n; ++i) golden[i] = columns[i]->golden_mag;
-    if (policy.include_phase) {
-      for (std::size_t i = 0; i < n; ++i) {
-        golden[n + i] = columns[i]->golden_phase;
-      }
-    }
-  }
-
-  std::vector<FaultTrajectory> out;
-  out.reserve(plans_.size());
-  for (const auto& plan : plans_) {
-    std::vector<TrajectoryPoint> points;
-    points.reserve(plan.steps.size());
-    for (const auto& step : plan.steps) {
-      if (step.entry == kGoldenStep) {
-        points.push_back({0.0, golden});
-        continue;
-      }
-      Point p(dim, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = columns[i]->entry_mag[step.entry];
-        if (policy.golden_relative) p[i] -= columns[i]->golden_mag;
-      }
-      if (policy.include_phase) {
-        for (std::size_t i = 0; i < n; ++i) {
-          p[n + i] = columns[i]->entry_phase[step.entry];
-          if (policy.golden_relative) p[n + i] -= columns[i]->golden_phase;
-        }
-      }
-      points.push_back({step.deviation, std::move(p)});
-    }
-    out.emplace_back(plan.site, std::move(points));
-  }
-  return out;
-}
-
-void EvaluationPipeline::snapped_keys(const std::vector<double>& genes,
-                                      std::vector<std::int64_t>& keys) const {
+void EvaluationPipeline::snap_keys(const std::vector<double>& genes,
+                                   std::vector<std::int64_t>& keys) const {
   FTDIAG_ASSERT(!genes.empty(), "pipeline needs >= 1 gene");
-  keys.clear();
-  keys.reserve(genes.size());
+  const std::size_t first = keys.size();
   for (double g : genes) {
     keys.push_back(std::llround(g / options_.frequency_quantum));
   }
   // Canonical ascending order: trajectory geometry is invariant to
   // frequency order (TestVector::normalize does the same).
-  std::sort(keys.begin(), keys.end());
+  std::sort(keys.begin() + static_cast<std::ptrdiff_t>(first), keys.end());
 }
 
-std::vector<FaultTrajectory> EvaluationPipeline::trajectories_for_keys(
-    const std::vector<std::int64_t>& keys,
-    std::vector<std::shared_ptr<const Column>>& columns) const {
-  columns.clear();
-  columns.reserve(keys.size());
-  for (std::int64_t key : keys) columns.push_back(column_for(key));
-  return assemble(columns);
+void EvaluationPipeline::build_column(std::int64_t key, double* column) const {
+  const double f_hz =
+      std::pow(10.0, static_cast<double>(key) * options_.frequency_quantum);
+  const SamplingPolicy& policy = evaluator_.policy();
+  const faults::FaultDictionary& dictionary = evaluator_.dictionary();
+  const faults::FaultDictionary::SignaturePlanes& planes = dictionary.planes();
+
+  // One locate serves every response; values are reconstructed from the
+  // precomputed tables, bit-identical to AcResponse::interpolate.
+  const mna::AcResponse::GridPosition pos = dictionary.golden().locate(f_hz);
+  constexpr double kPi = 3.14159265358979323846;
+  for (std::size_t r = 0; r < responses_; ++r) {
+    const std::size_t base = r * grid_size_;
+    mna::Complex h;
+    if (pos.lo == pos.hi) {
+      h = {planes.re[base + pos.lo], planes.im[base + pos.lo]};
+    } else {
+      const double mag_a = table_mag_[base + pos.lo];
+      const double mag_b = table_mag_[base + pos.hi];
+      double m;
+      if (mag_a > 0.0 && mag_b > 0.0) {
+        m = std::exp((1.0 - pos.t) * table_log_mag_[base + pos.lo] +
+                     pos.t * table_log_mag_[base + pos.hi]);
+      } else {
+        m = (1.0 - pos.t) * mag_a + pos.t * mag_b;
+      }
+      const double ph_a = table_phase_[base + pos.lo];
+      double ph_b = table_phase_[base + pos.hi];
+      while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
+      while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
+      const double ph = (1.0 - pos.t) * ph_a + pos.t * ph_b;
+      h = {m * std::cos(ph), m * std::sin(ph)};
+    }
+    column[r] = policy.scale == MagnitudeScale::kLinear ? std::abs(h)
+                                                        : linalg::to_db(h);
+    if (policy.include_phase) column[responses_ + r] = std::arg(h);
+  }
+}
+
+void EvaluationPipeline::assemble(const std::vector<const double*>& columns,
+                                  FlatTrajectories& set) const {
+  const SamplingPolicy& policy = evaluator_.policy();
+  const std::size_t n = columns.size();
+  const std::size_t dim = policy.dimension(n);
+  set.dim = dim;
+  set.coords.resize(vertex_source_.size() * dim);
+  // Coordinate k of every vertex comes from column k (magnitudes) or, for
+  // k >= n, column k - n (phases).  The golden vertex is the origin under
+  // a golden-relative policy and the raw golden sample otherwise.
+  for (std::size_t k = 0; k < dim; ++k) {
+    const double* column =
+        k < n ? columns[k] : columns[k - n] + responses_;
+    double* out = set.coords.data() + k;
+    for (std::size_t v = 0; v < vertex_source_.size(); ++v, out += dim) {
+      const std::uint32_t r = vertex_source_[v];
+      if (r == 0) {
+        *out = policy.golden_relative ? 0.0 : column[0];
+      } else {
+        *out = policy.golden_relative ? column[r] - column[0] : column[r];
+      }
+    }
+  }
 }
 
 std::vector<FaultTrajectory> EvaluationPipeline::trajectories(
     const std::vector<double>& genes) const {
-  EvalScratch scratch;
-  snapped_keys(genes, scratch.keys);
-  return trajectories_for_keys(scratch.keys, scratch.columns);
-}
-
-double EvaluationPipeline::evaluate_with(const std::vector<double>& genes,
-                                         EvalScratch& scratch) const {
-  snapped_keys(genes, scratch.keys);
-  if (options_.cache_signatures) {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = fitness_memo_.find(scratch.keys);
-    if (it != fitness_memo_.end()) {
-      PipelineMetrics::get().genome_hits.inc();
-      PipelineMetrics::get().genomes_evaluated.inc();
-      ++stats_.genome_hits;
-      ++stats_.genomes_evaluated;
-      return it->second;
-    }
+  std::vector<std::int64_t> keys;
+  snap_keys(genes, keys);
+  std::vector<double> storage(keys.size() * column_size_);
+  Lane lane;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    build_column(keys[k], storage.data() + k * column_size_);
+    lane.columns.push_back(storage.data() + k * column_size_);
   }
-  const double fitness = evaluator_.objective().evaluate(
-      trajectories_for_keys(scratch.keys, scratch.columns));
-  PipelineMetrics::get().genomes_evaluated.inc();
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    ++stats_.genomes_evaluated;
-    if (options_.cache_signatures) {
-      fitness_memo_.emplace(scratch.keys, fitness);
-    }
-  }
-  return fitness;
-}
+  assemble(lane.columns, lane.set);
 
-double EvaluationPipeline::evaluate_one(const std::vector<double>& genes) const {
-  EvalScratch scratch;
-  return evaluate_with(genes, scratch);
+  std::vector<FaultTrajectory> out;
+  for (std::size_t s = 0; s < layout_.size(); ++s) {
+    std::vector<TrajectoryPoint> points;
+    for (std::size_t v = layout_.offsets[s]; v < layout_.offsets[s + 1]; ++v) {
+      const double* at = lane.set.coords.data() + v * lane.set.dim;
+      points.push_back({vertex_deviation_[v], Point(at, at + lane.set.dim)});
+    }
+    out.emplace_back(*layout_.labels[s], std::move(points));
+  }
+  return out;
 }
 
 std::vector<double> EvaluationPipeline::evaluate(
     const std::vector<std::vector<double>>& genomes) const {
   std::vector<double> scores(genomes.size(), 0.0);
-  const std::size_t threads = options_.resolved_threads();
-  // Per-lane scratch: one genome's key/column buffers are recycled by
-  // every later genome the lane evaluates.
-  std::vector<EvalScratch> scratch(
-      std::max<std::size_t>(1, std::min(threads, genomes.size())));
-  par::parallel_for_lanes(genomes.size(), threads,
-                          [&](std::size_t lane, std::size_t i) {
-                            scores[i] = evaluate_with(genomes[i],
-                                                      scratch[lane]);
-                          });
-  return scores;
-}
+  const bool cache = options_.cache_signatures;
+  Batch& batch = batch_;
+  PipelineStats delta;
+  delta.genomes_evaluated = genomes.size();
 
-PipelineStats EvaluationPipeline::stats() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return stats_;
+  // Phase 1, plan (serial).  Snap every genome before touching an index,
+  // so a rejected genome leaves the caches as they were.
+  batch.keys.clear();
+  batch.key_begin.assign(1, 0);
+  for (const auto& genes : genomes) {
+    snap_keys(genes, batch.keys);
+    batch.key_begin.push_back(batch.keys.size());
+  }
+  batch.slots.resize(batch.keys.size());
+  batch.genome_job.resize(genomes.size());
+  batch.job_genome.clear();
+  batch.new_columns.clear();
+  const std::size_t memo_base = memo_scores_.size();
+  const std::size_t columns_base = column_index_.size();
+  std::size_t slots = cache ? columns_base : 0;  // column slots in use
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    const std::span<const std::int64_t> keys(
+        batch.keys.data() + batch.key_begin[i],
+        batch.keys.data() + batch.key_begin[i + 1]);
+    if (cache) {
+      // Entries past memo_base were added by this batch: a repeat of a
+      // genome that is already a job here shares its job.
+      const auto [entry, inserted] = genome_index_.find_or_insert(keys);
+      if (!inserted) {
+        ++delta.genome_hits;
+        if (entry < memo_base) {
+          scores[i] = memo_scores_[entry];
+          batch.genome_job[i] = kNoJob;
+        } else {
+          batch.genome_job[i] = entry - memo_base;
+        }
+        continue;
+      }
+    }
+    batch.genome_job[i] = batch.job_genome.size();
+    batch.job_genome.push_back(i);
+    for (std::size_t k = batch.key_begin[i]; k < batch.key_begin[i + 1]; ++k) {
+      std::size_t slot = slots;
+      bool fresh = true;
+      if (cache) {
+        std::tie(slot, fresh) =
+            column_index_.find_or_insert({&batch.keys[k], 1});
+      }
+      if (fresh) {
+        batch.new_columns.emplace_back(batch.keys[k],
+                                       static_cast<std::uint32_t>(slot));
+        slots = slot + 1;
+        ++delta.column_misses;
+      } else {
+        ++delta.column_hits;
+      }
+      batch.slots[k] = static_cast<std::uint32_t>(slot);
+    }
+  }
+  if (slots > column_data_.size()) {
+    // Storage for the slots no earlier batch created, in one block.
+    const std::size_t fresh = slots - column_data_.size();
+    column_blocks_.push_back(
+        std::make_unique_for_overwrite<double[]>(fresh * column_size_));
+    for (std::size_t c = 0; c < fresh; ++c) {
+      column_data_.push_back(column_blocks_.back().get() + c * column_size_);
+    }
+  }
+
+  // Phases 2 and 3 run user fitness code; if anything throws, forget the
+  // index entries this batch added, so the caches stay as they were.
+  try {
+    // Phase 2, build (parallel): one new column per item, each into its
+    // own slot.
+    const std::size_t lanes = lanes_.size();
+    par::parallel_for(batch.new_columns.size(), lanes, [&](std::size_t c) {
+      const auto& [key, slot] = batch.new_columns[c];
+      build_column(key, column_data_[slot]);
+    });
+
+    // Phase 3, score (parallel): each job reads its columns and writes its
+    // own score slot through the lane's reused buffers.
+    batch.job_scores.resize(batch.job_genome.size());
+    const TrajectoryFitness& fitness = evaluator_.objective();
+    par::parallel_for_lanes(
+        batch.job_genome.size(), lanes, [&](std::size_t lane, std::size_t j) {
+          Lane& scratch = lanes_[lane];
+          const std::size_t g = batch.job_genome[j];
+          scratch.columns.clear();
+          for (std::size_t k = batch.key_begin[g]; k < batch.key_begin[g + 1];
+               ++k) {
+            scratch.columns.push_back(column_data_[batch.slots[k]]);
+          }
+          assemble(scratch.columns, scratch.set);
+          batch.job_scores[j] = fitness.evaluate(scratch.set);
+        });
+  } catch (...) {
+    genome_index_.truncate(memo_base);
+    column_index_.truncate(columns_base);
+    throw;
+  }
+
+  // Phase 4, commit (serial).  Jobs were appended to the memo index in
+  // job order, so job j is memo entry memo_base + j.
+  if (cache) {
+    memo_scores_.insert(memo_scores_.end(), batch.job_scores.begin(),
+                        batch.job_scores.end());
+  }
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    if (batch.genome_job[i] != kNoJob) {
+      scores[i] = batch.job_scores[batch.genome_job[i]];
+    }
+  }
+  stats_.genomes_evaluated += delta.genomes_evaluated;
+  stats_.genome_hits += delta.genome_hits;
+  stats_.column_hits += delta.column_hits;
+  stats_.column_misses += delta.column_misses;
+  PipelineMetrics& metrics = PipelineMetrics::get();
+  metrics.genomes_evaluated.inc(delta.genomes_evaluated);
+  metrics.genome_hits.inc(delta.genome_hits);
+  metrics.column_hits.inc(delta.column_hits);
+  metrics.column_misses.inc(delta.column_misses);
+  return scores;
 }
 
 }  // namespace ftdiag::core

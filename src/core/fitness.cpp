@@ -8,8 +8,15 @@
 
 namespace ftdiag::core {
 
-double IntersectionFitness::evaluate(
+double TrajectoryFitness::evaluate(
     const std::vector<FaultTrajectory>& trajectories) const {
+  FlatTrajectories flat;
+  flat.assign(trajectories);
+  return evaluate(flat);
+}
+
+double IntersectionFitness::evaluate(
+    const FlatTrajectories& trajectories) const {
   // Only the count enters the fitness, so skip the per-conflict records
   // (the GA inner loop calls this thousands of times per search).
   IntersectionOptions count_only = options_;
@@ -19,35 +26,33 @@ double IntersectionFitness::evaluate(
   return 1.0 / (1.0 + static_cast<double>(report.count));
 }
 
-double SeparationFitness::margin(
-    const std::vector<FaultTrajectory>& trajectories) const {
+double SeparationFitness::margin(const FlatTrajectories& trajectories) const {
   if (trajectories.size() < 2) return 1.0;
-  double scale = 0.0;
-  for (const auto& t : trajectories) {
-    scale = std::max(scale, t.max_excursion());
-  }
+  const double scale = trajectories.max_excursion();
   if (scale <= 0.0) return 0.0;
-  const std::size_t dim = trajectories.front().dimension();
-  const Point origin(dim, 0.0);
+  const std::size_t dim = trajectories.dim;
   const double origin_ball = origin_exclusion_ * scale;
-
-  std::vector<std::vector<Segment>> segs;
-  segs.reserve(trajectories.size());
-  for (const auto& t : trajectories) segs.push_back(t.segments());
+  thread_local std::vector<double> origin;
+  if (origin.size() < dim) origin.resize(dim, 0.0);
 
   double min_separation = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    for (std::size_t j = i + 1; j < segs.size(); ++j) {
-      for (const auto& a : segs[i]) {
-        const double a_to_origin = project_point(origin, a).distance;
-        for (const auto& b : segs[j]) {
+  for (std::size_t i = 0; i < trajectories.size(); ++i) {
+    for (std::size_t j = i + 1; j < trajectories.size(); ++j) {
+      for (std::size_t si = 0; si < trajectories.segment_count(i); ++si) {
+        const double* a = trajectories.segment(i, si);
+        const double a_to_origin =
+            point_segment_distance(origin.data(), a, a + dim, dim);
+        for (std::size_t sj = 0; sj < trajectories.segment_count(j); ++sj) {
+          const double* b = trajectories.segment(j, sj);
           // A contact forced by the shared golden point is structural.
           if (a_to_origin <= origin_ball &&
-              project_point(origin, b).distance <= origin_ball) {
+              point_segment_distance(origin.data(), b, b + dim, dim) <=
+                  origin_ball) {
             continue;
           }
-          min_separation =
-              std::min(min_separation, segment_segment_distance(a, b));
+          min_separation = std::min(
+              min_separation, segment_segment_distance(a, a + dim, b, b + dim,
+                                                       dim));
         }
       }
     }
@@ -56,8 +61,15 @@ double SeparationFitness::margin(
   return std::min(min_separation / scale, 1.0);
 }
 
-double SeparationFitness::evaluate(
+double SeparationFitness::margin(
     const std::vector<FaultTrajectory>& trajectories) const {
+  FlatTrajectories flat;
+  flat.assign(trajectories);
+  return margin(flat);
+}
+
+double SeparationFitness::evaluate(
+    const FlatTrajectories& trajectories) const {
   const double m = margin(trajectories);
   // Map [0, 1] margin into (0, 1] with a soft knee so tiny margins still
   // produce a usable gradient for the optimizer.
@@ -75,10 +87,13 @@ HybridFitness::HybridFitness(double intersection_weight,
   }
 }
 
-double HybridFitness::evaluate(
-    const std::vector<FaultTrajectory>& trajectories) const {
+double HybridFitness::evaluate(const FlatTrajectories& trajectories) const {
+  // Separation first: its early outs then branch before the blend, which
+  // keeps the blend's multiply-adds in one block (the contraction, and so
+  // the rounding, of the original single-expression form).
+  const double separation = separation_.evaluate(trajectories);
   return weight_ * intersection_.evaluate(trajectories) +
-         (1.0 - weight_) * separation_.evaluate(trajectories);
+         (1.0 - weight_) * separation;
 }
 
 std::unique_ptr<TrajectoryFitness> make_fitness(FitnessKind kind) {

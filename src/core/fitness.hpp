@@ -5,6 +5,10 @@
 /// Alternatives are provided for the ablation benchmarks: a separation
 /// margin (how far apart the closest pair of trajectories stays) and a
 /// hybrid of both.  All fitnesses map to (0, 1], larger is better.
+///
+/// Every fitness scores the flat trajectory layout (core/trajectory.hpp),
+/// which the evaluation pipeline writes straight from its signature
+/// columns; the FaultTrajectory overload flattens once and forwards.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +33,14 @@ class TrajectoryFitness {
 public:
   virtual ~TrajectoryFitness() = default;
 
-  /// Score in (0, 1]; larger means better diagnosability.
+  /// Score in (0, 1]; larger means better diagnosability.  Must be safe to
+  /// call concurrently (the pipeline scores genomes on several lanes).
   [[nodiscard]] virtual double evaluate(
-      const std::vector<FaultTrajectory>& trajectories) const = 0;
+      const FlatTrajectories& trajectories) const = 0;
+
+  /// Same, flattening \p trajectories first.
+  [[nodiscard]] double evaluate(
+      const std::vector<FaultTrajectory>& trajectories) const;
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
@@ -42,8 +51,9 @@ public:
   explicit IntersectionFitness(IntersectionOptions options = {})
       : options_(options) {}
 
+  using TrajectoryFitness::evaluate;
   [[nodiscard]] double evaluate(
-      const std::vector<FaultTrajectory>& trajectories) const override;
+      const FlatTrajectories& trajectories) const override;
   [[nodiscard]] std::string name() const override { return "paper-1/(1+I)"; }
 
   [[nodiscard]] const IntersectionOptions& options() const { return options_; }
@@ -63,11 +73,13 @@ public:
   explicit SeparationFitness(double origin_exclusion = 0.05)
       : origin_exclusion_(origin_exclusion) {}
 
+  using TrajectoryFitness::evaluate;
   [[nodiscard]] double evaluate(
-      const std::vector<FaultTrajectory>& trajectories) const override;
+      const FlatTrajectories& trajectories) const override;
   [[nodiscard]] std::string name() const override { return "separation"; }
 
   /// The raw normalized separation margin in [0, 1].
+  [[nodiscard]] double margin(const FlatTrajectories& trajectories) const;
   [[nodiscard]] double margin(
       const std::vector<FaultTrajectory>& trajectories) const;
 
@@ -82,8 +94,9 @@ public:
                 IntersectionOptions options = {},
                 double origin_exclusion = 0.05);
 
+  using TrajectoryFitness::evaluate;
   [[nodiscard]] double evaluate(
-      const std::vector<FaultTrajectory>& trajectories) const override;
+      const FlatTrajectories& trajectories) const override;
   [[nodiscard]] std::string name() const override { return "hybrid"; }
 
 private:

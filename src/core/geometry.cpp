@@ -164,22 +164,17 @@ Classification2d classify_segments_2d(const double* sa, const double* sb,
   return result;
 }
 
-Intersection2d intersect_segments_2d(const Point& sa, const Point& sb,
-                                     const Point& ta, const Point& tb) {
-  require_2d(sa, sb);
-  require_2d(ta, tb);
+Intersection2d intersect_segments_2d(const Segment& s, const Segment& t) {
+  require_2d(s.a, s.b);
+  require_2d(t.a, t.b);
   const Classification2d c =
-      classify_segments_2d(sa.data(), sb.data(), ta.data(), tb.data());
+      classify_segments_2d(s.a.data(), s.b.data(), t.a.data(), t.b.data());
   Intersection2d result;
   result.relation = c.relation;
   if (c.relation != SegmentRelation::kDisjoint) {
     result.at = {c.at_x, c.at_y};
   }
   return result;
-}
-
-Intersection2d intersect_segments_2d(const Segment& s, const Segment& t) {
-  return intersect_segments_2d(s.a, s.b, t.a, t.b);
 }
 
 double point_segment_distance(const double* p, const double* a,
@@ -197,11 +192,6 @@ double point_segment_distance(const double* p, const double* a,
     acc += d * d;
   }
   return std::sqrt(acc);
-}
-
-double point_segment_distance(const Point& p, const Point& a, const Point& b) {
-  FTDIAG_ASSERT(p.size() == a.size(), "point/segment dim mismatch");
-  return point_segment_distance(p.data(), a.data(), b.data(), p.size());
 }
 
 double segment_segment_distance(const double* sa, const double* sb,
@@ -257,15 +247,10 @@ double segment_segment_distance(const double* sa, const double* sb,
   return std::sqrt(acc);
 }
 
-double segment_segment_distance(const Point& sa, const Point& sb,
-                                const Point& ta, const Point& tb) {
-  FTDIAG_ASSERT(sa.size() == ta.size(), "segment dimension mismatch");
-  return segment_segment_distance(sa.data(), sb.data(), ta.data(), tb.data(),
-                                  sa.size());
-}
-
 double segment_segment_distance(const Segment& s, const Segment& t) {
-  return segment_segment_distance(s.a, s.b, t.a, t.b);
+  FTDIAG_ASSERT(s.a.size() == t.a.size(), "segment dimension mismatch");
+  return segment_segment_distance(s.a.data(), s.b.data(), t.a.data(),
+                                  t.b.data(), s.a.size());
 }
 
 double polyline_length(const std::vector<Point>& points) {

@@ -62,14 +62,6 @@ struct Intersection2d {
 [[nodiscard]] Intersection2d intersect_segments_2d(const Segment& s,
                                                    const Segment& t);
 
-/// Endpoint form of intersect_segments_2d — lets hot loops test segments
-/// stored as consecutive polyline vertices without copying them into
-/// Segment objects.
-[[nodiscard]] Intersection2d intersect_segments_2d(const Point& sa,
-                                                   const Point& sb,
-                                                   const Point& ta,
-                                                   const Point& tb);
-
 /// Result of classify_segments_2d: the relation plus the representative
 /// common point as scalars (meaningful unless kDisjoint).
 struct Classification2d {
@@ -92,22 +84,15 @@ struct Classification2d {
 [[nodiscard]] double segment_segment_distance(const Segment& s,
                                               const Segment& t);
 
-/// Endpoint form of segment_segment_distance.
-[[nodiscard]] double segment_segment_distance(const Point& sa, const Point& sb,
-                                              const Point& ta, const Point& tb);
-
 /// Scalar-pointer core of segment_segment_distance (each argument points
-/// at \p n coordinates); the Point overloads delegate here.
+/// at \p n coordinates); the Segment overload delegates here.
 [[nodiscard]] double segment_segment_distance(const double* sa,
                                               const double* sb,
                                               const double* ta,
                                               const double* tb, std::size_t n);
 
-/// Distance from \p p to the segment (a, b) without building Projection.
-[[nodiscard]] double point_segment_distance(const Point& p, const Point& a,
-                                            const Point& b);
-
-/// Scalar-pointer core of point_segment_distance.
+/// Distance from \p p to the segment (a, b), each pointing at \p n
+/// coordinates, without building a Projection.
 [[nodiscard]] double point_segment_distance(const double* p, const double* a,
                                             const double* b, std::size_t n);
 

@@ -3,85 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace ftdiag::core {
 
 namespace {
 
-double signature_scale(const std::vector<FaultTrajectory>& trajectories) {
-  double scale = 0.0;
-  for (const auto& t : trajectories) {
-    scale = std::max(scale, t.max_excursion());
-  }
-  return scale > 0.0 ? scale : 1.0;
-}
-
-/// Trajectory geometry flattened into one contiguous scalar array: segment
-/// s of trajectory i lives at coords[(first[i] + s) * stride], endpoints
-/// back to back.  The sweeps and predicates run entirely on this layout —
-/// chasing the per-vertex heap Points inside the innermost loop costs more
-/// than the predicates themselves.
-struct FlatGeometry {
-  std::size_t dim = 0;
-  std::size_t stride = 0;  ///< 2 * dim
-  std::vector<double> coords;
-  std::vector<std::uint32_t> first;  ///< per trajectory; back() = total segs
-
-  void build(const std::vector<FaultTrajectory>& trajectories,
-             std::size_t dimension) {
-    dim = dimension;
-    stride = 2 * dim;
-    first.clear();
-    first.reserve(trajectories.size() + 1);
-    std::size_t total = 0;
-    for (const auto& t : trajectories) {
-      first.push_back(static_cast<std::uint32_t>(total));
-      total += t.point_count() - 1;
-    }
-    first.push_back(static_cast<std::uint32_t>(total));
-    coords.clear();
-    coords.reserve(total * stride);
-    for (const auto& t : trajectories) {
-      const auto& pts = t.points();
-      for (std::size_t s = 0; s + 1 < pts.size(); ++s) {
-        coords.insert(coords.end(), pts[s].coords.begin(),
-                      pts[s].coords.end());
-        coords.insert(coords.end(), pts[s + 1].coords.begin(),
-                      pts[s + 1].coords.end());
-      }
-    }
-  }
-
-  [[nodiscard]] const double* segment(std::size_t traj,
-                                      std::size_t seg) const {
-    return coords.data() + (first[traj] + seg) * stride;
-  }
-  [[nodiscard]] std::size_t segment_count(std::size_t traj) const {
-    return first[traj + 1] - first[traj];
-  }
-};
-
 /// Shared per-pair conflict test: counts (and optionally records) when
-/// segments (i, si) and (j, sj) conflict.  Both sweeps call exactly this,
-/// so they can only differ in which pairs they visit.
+/// segments (i, si) and (j, sj), i < j, conflict.  Both sweeps call
+/// exactly this, so they can only differ in which pairs they visit.
 class PairTester {
 public:
-  PairTester(const std::vector<FaultTrajectory>& trajectories,
-             const FlatGeometry& flat, const IntersectionOptions& options,
-             double scale)
-      : trajectories_(trajectories),
-        flat_(flat),
+  PairTester(const FlatTrajectories& set, const IntersectionOptions& options,
+             double scale, const double* origin)
+      : set_(set),
         options_(options),
         origin_ball_(options.origin_exclusion * scale),
         near_cutoff_(options.near_threshold * scale),
-        origin_(flat.dim, 0.0) {}
+        origin_(origin) {}
 
   void test(std::size_t i, std::size_t j, std::size_t si, std::size_t sj,
             IntersectionReport& report) const {
-    const std::size_t dim = flat_.dim;
-    const double* a = flat_.segment(i, si);
-    const double* b = flat_.segment(j, sj);
+    const std::size_t dim = set_.dim;
+    const double* a = set_.segment(i, si);
+    const double* b = set_.segment(j, sj);
 
     if (dim == 2) {
       const Classification2d hit = classify_segments_2d(a, a + 2, b, b + 2);
@@ -97,8 +40,7 @@ public:
       }
       ++report.count;
       if (options_.collect_conflicts) {
-        report.conflicts.push_back({trajectories_[i].site(),
-                                    trajectories_[j].site(), si, sj,
+        report.conflicts.push_back({*set_.labels[i], *set_.labels[j], si, sj,
                                     {hit.at_x, hit.at_y}, 0.0});
       }
     } else {
@@ -106,10 +48,8 @@ public:
       if (d > near_cutoff_) return;
       // Contact near the origin is structural when both segments pass
       // through the exclusion ball.
-      const double a_to_origin =
-          point_segment_distance(origin_.data(), a, a + dim, dim);
-      const double b_to_origin =
-          point_segment_distance(origin_.data(), b, b + dim, dim);
+      const double a_to_origin = point_segment_distance(origin_, a, a + dim, dim);
+      const double b_to_origin = point_segment_distance(origin_, b, b + dim, dim);
       if (a_to_origin <= origin_ball_ && b_to_origin <= origin_ball_) {
         return;
       }
@@ -119,33 +59,28 @@ public:
         for (std::size_t k = 0; k < dim; ++k) {
           mid[k] = 0.25 * (a[k] + a[dim + k] + b[k] + b[dim + k]);
         }
-        report.conflicts.push_back({trajectories_[i].site(),
-                                    trajectories_[j].site(), si, sj,
+        report.conflicts.push_back({*set_.labels[i], *set_.labels[j], si, sj,
                                     std::move(mid), d});
       }
     }
   }
 
 private:
-  const std::vector<FaultTrajectory>& trajectories_;
-  const FlatGeometry& flat_;
+  const FlatTrajectories& set_;
   const IntersectionOptions& options_;
   double origin_ball_;
   double near_cutoff_;
-  Point origin_;
+  const double* origin_;
 };
 
 /// The reference sweep: every segment pair of every trajectory pair, in
 /// (i, j, si, sj) lexicographic order.
-void exact_sweep(const FlatGeometry& flat, const PairTester& tester,
+void exact_sweep(const FlatTrajectories& set, const PairTester& tester,
                  IntersectionReport& report) {
-  const std::size_t count = flat.first.size() - 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t j = i + 1; j < count; ++j) {
-      const std::size_t ni = flat.segment_count(i);
-      const std::size_t nj = flat.segment_count(j);
-      for (std::size_t si = 0; si < ni; ++si) {
-        for (std::size_t sj = 0; sj < nj; ++sj) {
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = i + 1; j < set.size(); ++j) {
+      for (std::size_t si = 0; si < set.segment_count(i); ++si) {
+        for (std::size_t sj = 0; sj < set.segment_count(j); ++sj) {
           tester.test(i, j, si, sj, report);
         }
       }
@@ -153,159 +88,24 @@ void exact_sweep(const FlatGeometry& flat, const PairTester& tester,
   }
 }
 
-/// Uniform-grid pruned sweep.  Segments are rasterized conservatively into
-/// grid cells (clipped column by column, padded so any pair the predicates
-/// could classify as conflicting provably shares a cell) and only
-/// cell-sharing pairs whose padded boxes overlap are tested.  When the
-/// caller needs conflict records the candidates are first sorted into the
-/// exact sweep's (i, j, si, sj) order, so both sweeps emit identical
-/// reports; for count-only fitness calls the sort is skipped (the count
-/// cannot depend on visit order).
-void pruned_sweep(const FlatGeometry& flat, const PairTester& tester,
-                  double scale, double near_cutoff, bool ordered,
-                  IntersectionReport& report) {
-  const std::size_t dim = flat.dim;
-  // Conservative padding: 2-D predicates tolerate ~1e-12 relative slack,
-  // so a 1e-9 pad (relative to the signature scale, plus absolute slack)
-  // dwarfs it; in near-miss mode two segments within the cutoff d have
-  // geometry within d of each other, so half of d each side suffices.
-  const double pad =
-      (dim == 2 ? 0.0 : 0.5 * near_cutoff) + 1e-9 * (scale + 1.0);
-  const std::size_t axes = std::min<std::size_t>(dim, 3);
-  const std::size_t total_segments = flat.first.back();
-
+/// Sort-and-sweep over padded boxes on the first (up to) three axes: boxes
+/// sorted by their low edge on the widest axis meet only the later boxes
+/// whose low edge lies inside their extent, and a pair is tested when the
+/// boxes overlap on every boxed axis.  Count-only calls test pairs as the
+/// sweep finds them (a count cannot depend on visit order); collecting
+/// calls first sort the candidates into the exact sweep's (i, j, si, sj)
+/// order, so both sweeps emit identical reports.
+void sort_and_sweep(const FlatTrajectories& set, const PairTester& tester,
+                    double pad, bool ordered, IntersectionReport& report) {
+  constexpr std::size_t kAxes = 3;
+  const std::size_t dim = set.dim;
+  const std::size_t axes = std::min(dim, kAxes);
   struct Box {
-    std::uint32_t traj = 0;
-    std::uint32_t seg = 0;
-    double lo[3] = {0.0, 0.0, 0.0};
-    double hi[3] = {0.0, 0.0, 0.0};
-    std::int32_t cell_lo[3] = {0, 0, 0};
-    std::int32_t cell_hi[3] = {0, 0, 0};
+    double lo[kAxes];
+    double hi[kAxes];
+    std::uint32_t traj;
+    std::uint32_t seg;
   };
-  // Scratch buffers are reused across calls on the same thread: the GA
-  // evaluates thousands of genomes per worker, and reallocating the grid
-  // for each one shows up in profiles.
-  thread_local std::vector<Box> boxes;
-  boxes.clear();
-  boxes.reserve(total_segments);
-
-  double grid_lo[3] = {0.0, 0.0, 0.0};
-  double grid_hi[3] = {0.0, 0.0, 0.0};
-  const std::size_t trajectory_count = flat.first.size() - 1;
-  for (std::size_t i = 0; i < trajectory_count; ++i) {
-    for (std::size_t si = 0; si < flat.segment_count(i); ++si) {
-      Box box;
-      box.traj = static_cast<std::uint32_t>(i);
-      box.seg = static_cast<std::uint32_t>(si);
-      const double* a = flat.segment(i, si);
-      const double* b = a + dim;
-      for (std::size_t d = 0; d < axes; ++d) {
-        box.lo[d] = std::min(a[d], b[d]) - pad;
-        box.hi[d] = std::max(a[d], b[d]) + pad;
-        if (boxes.empty()) {
-          grid_lo[d] = box.lo[d];
-          grid_hi[d] = box.hi[d];
-        } else {
-          grid_lo[d] = std::min(grid_lo[d], box.lo[d]);
-          grid_hi[d] = std::max(grid_hi[d], box.hi[d]);
-        }
-      }
-      boxes.push_back(box);
-    }
-  }
-  if (boxes.size() < 2) return;
-
-  // Grid resolution: segments are binned by exact conservative slab
-  // clipping (not bounding boxes), so a finer grid keeps pruning effective
-  // even when every trajectory hugs one diagonal; 2x the square-root
-  // heuristic measured fastest across the registry circuits.
-  const double per_axis =
-      2.0 * std::pow(static_cast<double>(boxes.size()),
-                     1.0 / static_cast<double>(axes));
-  std::int32_t cells[3] = {1, 1, 1};
-  double cell_size[3] = {1.0, 1.0, 1.0};
-  std::size_t total_cells = 1;
-  for (std::size_t d = 0; d < axes; ++d) {
-    const double extent = grid_hi[d] - grid_lo[d];
-    cells[d] = extent > 0.0
-                   ? std::clamp<std::int32_t>(
-                         static_cast<std::int32_t>(per_axis), 1, 64)
-                   : 1;
-    cell_size[d] = extent > 0.0 ? extent / cells[d] : 1.0;
-    total_cells *= static_cast<std::size_t>(cells[d]);
-  }
-
-  auto cell_of = [&](double value, std::size_t d) {
-    const std::int32_t c = static_cast<std::int32_t>(
-        (value - grid_lo[d]) / cell_size[d]);
-    return std::clamp<std::int32_t>(c, 0, cells[d] - 1);
-  };
-  for (auto& box : boxes) {
-    for (std::size_t d = 0; d < axes; ++d) {
-      box.cell_lo[d] = cell_of(box.lo[d], d);
-      box.cell_hi[d] = cell_of(box.hi[d], d);
-    }
-  }
-
-  // Rasterize: walk the first axis column by column, clip the segment to
-  // the (pad-expanded) column and bin only the cells its clipped-and-
-  // padded extent reaches on the remaining axes — a superset of every cell
-  // the padded segment intersects, but far tighter than the bounding box.
-  thread_local std::vector<std::vector<std::uint32_t>> bins;
-  if (bins.size() < total_cells) bins.resize(total_cells);
-  for (std::size_t c = 0; c < total_cells; ++c) bins[c].clear();
-  auto flatten = [&](std::int32_t c0, std::int32_t c1, std::int32_t c2) {
-    return static_cast<std::size_t>(c0) +
-           static_cast<std::size_t>(cells[0]) *
-               (static_cast<std::size_t>(c1) +
-                static_cast<std::size_t>(cells[1]) *
-                    static_cast<std::size_t>(c2));
-  };
-  for (std::uint32_t b = 0; b < boxes.size(); ++b) {
-    const Box& box = boxes[b];
-    const double* sa = flat.segment(box.traj, box.seg);
-    const double* sb = sa + dim;
-    const double dx = sb[0] - sa[0];
-    for (std::int32_t c0 = box.cell_lo[0]; c0 <= box.cell_hi[0]; ++c0) {
-      // The segment's parameter range inside this column, expanded by the
-      // pad on both sides.  A slab beyond the endpoints clamps to them, so
-      // endpoint proximity stays covered.
-      double t_lo = 0.0, t_hi = 1.0;
-      if (std::fabs(dx) > 0.0) {
-        const double slab_lo =
-            grid_lo[0] + static_cast<double>(c0) * cell_size[0] - pad;
-        const double slab_hi =
-            grid_lo[0] + static_cast<double>(c0 + 1) * cell_size[0] + pad;
-        const double t0 = (slab_lo - sa[0]) / dx;
-        const double t1 = (slab_hi - sa[0]) / dx;
-        t_lo = std::clamp(std::min(t0, t1), 0.0, 1.0);
-        t_hi = std::clamp(std::max(t0, t1), 0.0, 1.0);
-      }
-      std::int32_t lo1 = 0, hi1 = 0, lo2 = 0, hi2 = 0;
-      if (axes > 1) {
-        const double v0 = sa[1] + t_lo * (sb[1] - sa[1]);
-        const double v1 = sa[1] + t_hi * (sb[1] - sa[1]);
-        lo1 = cell_of(std::min(v0, v1) - pad, 1);
-        hi1 = cell_of(std::max(v0, v1) + pad, 1);
-      }
-      if (axes > 2) {
-        const double v0 = sa[2] + t_lo * (sb[2] - sa[2]);
-        const double v1 = sa[2] + t_hi * (sb[2] - sa[2]);
-        lo2 = cell_of(std::min(v0, v1) - pad, 2);
-        hi2 = cell_of(std::max(v0, v1) + pad, 2);
-      }
-      for (std::int32_t c2 = lo2; c2 <= hi2; ++c2) {
-        for (std::int32_t c1 = lo1; c1 <= hi1; ++c1) {
-          bins[flatten(c0, c1, c2)].push_back(b);
-        }
-      }
-    }
-  }
-
-  // Candidate pairs: segments of different trajectories sharing a cell
-  // whose padded boxes overlap.  Rasterized coverage is not a box range,
-  // so pairs are deduplicated with a seen-matrix over global segment ids
-  // (sort + unique fallback keeps memory bounded on huge sets).
   struct CandidatePair {
     std::uint32_t i, j, si, sj;
     [[nodiscard]] bool operator<(const CandidatePair& o) const {
@@ -314,88 +114,105 @@ void pruned_sweep(const FlatGeometry& flat, const PairTester& tester,
       if (si != o.si) return si < o.si;
       return sj < o.sj;
     }
-    [[nodiscard]] bool operator==(const CandidatePair& o) const {
-      return i == o.i && j == o.j && si == o.si && sj == o.sj;
-    }
   };
+  // Reused across calls on the same thread: the GA scores thousands of
+  // genomes per lane, and a count-only call then allocates nothing.
+  thread_local std::vector<Box> boxes;
   thread_local std::vector<CandidatePair> candidates;
+  boxes.clear();
   candidates.clear();
-  const bool use_seen_matrix =
-      boxes.size() * boxes.size() <= (std::size_t{1} << 22);
-  thread_local std::vector<std::uint8_t> seen;
-  if (use_seen_matrix) {
-    seen.assign(boxes.size() * boxes.size(), 0);
+
+  double span_lo[kAxes] = {0.0, 0.0, 0.0};
+  double span_hi[kAxes] = {0.0, 0.0, 0.0};
+  for (std::size_t t = 0; t < set.size(); ++t) {
+    for (std::size_t s = 0; s < set.segment_count(t); ++s) {
+      const double* a = set.segment(t, s);
+      const double* b = a + dim;
+      Box box{};
+      box.traj = static_cast<std::uint32_t>(t);
+      box.seg = static_cast<std::uint32_t>(s);
+      for (std::size_t d = 0; d < axes; ++d) {
+        box.lo[d] = std::min(a[d], b[d]) - pad;
+        box.hi[d] = std::max(a[d], b[d]) + pad;
+        span_lo[d] = boxes.empty() ? box.lo[d] : std::min(span_lo[d], box.lo[d]);
+        span_hi[d] = boxes.empty() ? box.hi[d] : std::max(span_hi[d], box.hi[d]);
+      }
+      boxes.push_back(box);
+    }
   }
-  for (std::size_t cell = 0; cell < total_cells; ++cell) {
-    const auto& bin = bins[cell];
-    if (bin.size() < 2) continue;
-    for (std::size_t p = 0; p < bin.size(); ++p) {
-      const Box& a = boxes[bin[p]];
-      for (std::size_t q = p + 1; q < bin.size(); ++q) {
-        const Box& b = boxes[bin[q]];
-        if (a.traj == b.traj) continue;
-        bool overlap = true;
-        for (std::size_t d = 0; d < axes; ++d) {
-          if (a.lo[d] > b.hi[d] || b.lo[d] > a.hi[d]) {
-            overlap = false;
-            break;
-          }
-        }
-        if (!overlap) continue;
-        if (use_seen_matrix) {
-          const std::size_t lo = std::min(bin[p], bin[q]);
-          const std::size_t hi = std::max(bin[p], bin[q]);
-          std::uint8_t& mark = seen[lo * boxes.size() + hi];
-          if (mark != 0) continue;
-          mark = 1;
-        }
-        CandidatePair pair{a.traj, b.traj, a.seg, b.seg};
-        if (pair.i > pair.j) {
-          std::swap(pair.i, pair.j);
-          std::swap(pair.si, pair.sj);
-        }
-        candidates.push_back(pair);
+  std::size_t axis = 0;
+  for (std::size_t d = 1; d < axes; ++d) {
+    if (span_hi[d] - span_lo[d] > span_hi[axis] - span_lo[axis]) axis = d;
+  }
+  std::sort(boxes.begin(), boxes.end(), [axis](const Box& x, const Box& y) {
+    return x.lo[axis] < y.lo[axis];
+  });
+
+  for (std::size_t p = 0; p < boxes.size(); ++p) {
+    const Box& a = boxes[p];
+    for (std::size_t q = p + 1;
+         q < boxes.size() && boxes[q].lo[axis] <= a.hi[axis]; ++q) {
+      const Box& b = boxes[q];
+      if (a.traj == b.traj) continue;
+      bool overlap = true;
+      for (std::size_t d = 0; d < axes && overlap; ++d) {
+        overlap = a.lo[d] <= b.hi[d] && b.lo[d] <= a.hi[d];
+      }
+      if (!overlap) continue;
+      const Box& first = a.traj < b.traj ? a : b;
+      const Box& second = a.traj < b.traj ? b : a;
+      if (ordered) {
+        candidates.push_back({first.traj, second.traj, first.seg, second.seg});
+      } else {
+        tester.test(first.traj, second.traj, first.seg, second.seg, report);
       }
     }
   }
-  if (ordered || !use_seen_matrix) {
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  }
-
-  for (const auto& c : candidates) {
+  std::sort(candidates.begin(), candidates.end());
+  for (const CandidatePair& c : candidates) {
     tester.test(c.i, c.j, c.si, c.sj, report);
   }
 }
 
 }  // namespace
 
-IntersectionReport count_intersections(
-    const std::vector<FaultTrajectory>& trajectories,
-    const IntersectionOptions& options) {
+IntersectionReport count_intersections(const FlatTrajectories& trajectories,
+                                       const IntersectionOptions& options) {
   IntersectionReport report;
   if (trajectories.size() < 2) return report;
 
-  const std::size_t dim = trajectories.front().dimension();
-  for (const auto& t : trajectories) {
-    if (t.dimension() != dim) {
-      throw ConfigError("trajectories of mixed dimension");
-    }
-  }
-  const double scale = signature_scale(trajectories);
+  const double excursion = trajectories.max_excursion();
+  const double scale = excursion > 0.0 ? excursion : 1.0;
+  thread_local std::vector<double> origin;
+  if (origin.size() < trajectories.dim) origin.resize(trajectories.dim, 0.0);
+  const PairTester tester(trajectories, options, scale, origin.data());
 
-  thread_local FlatGeometry flat;
-  flat.build(trajectories, dim);
-
-  const PairTester tester(trajectories, flat, options, scale);
-  if (options.algorithm == IntersectionAlgorithm::kExact) {
-    exact_sweep(flat, tester, report);
+  // Box edges must order strictly for the sort; a non-finite coordinate
+  // (a dB signature of an exact zero) takes the reference sweep instead.
+  const bool finite =
+      std::all_of(trajectories.coords.begin(), trajectories.coords.end(),
+                  [](double v) { return std::isfinite(v); });
+  if (options.algorithm == IntersectionAlgorithm::kExact || !finite) {
+    exact_sweep(trajectories, tester, report);
   } else {
-    pruned_sweep(flat, tester, scale, options.near_threshold * scale,
-                 options.collect_conflicts, report);
+    // 2-D predicates tolerate ~1e-12 relative slack, which a 1e-9 pad
+    // (relative to the scale, plus absolute slack) dwarfs; segments within
+    // the near-miss cutoff d are within d on every axis, so d/2 a side.
+    const double pad =
+        (trajectories.dim == 2 ? 0.0 : 0.5 * (options.near_threshold * scale)) +
+        1e-9 * (scale + 1.0);
+    sort_and_sweep(trajectories, tester, pad, options.collect_conflicts,
+                   report);
   }
   return report;
+}
+
+IntersectionReport count_intersections(
+    const std::vector<FaultTrajectory>& trajectories,
+    const IntersectionOptions& options) {
+  thread_local FlatTrajectories set;
+  set.assign(trajectories);
+  return count_intersections(set, options);
 }
 
 }  // namespace ftdiag::core

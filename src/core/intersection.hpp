@@ -9,10 +9,16 @@
 /// of segments closer than a relative epsilon counts as a conflict.
 ///
 /// Two sweep algorithms produce the same report: the exact all-pairs sweep
-/// (O(sites^2 x segments^2) predicate calls) and a uniform-grid pruned
-/// sweep that bins conservatively padded segment bounding boxes and only
-/// runs the predicates on pairs whose boxes share a cell.  The pruned sweep
-/// is the default; the exact sweep remains for differential verification.
+/// (O(sites^2 x segments^2) predicate calls) and a sort-and-sweep that
+/// gives every segment a conservatively padded bounding box, sorts the
+/// boxes along their widest axis and runs the predicates only on pairs of
+/// different trajectories whose boxes overlap on every boxed axis.  The
+/// pad exceeds any slack the predicates allow, so no pair the predicates
+/// would count is ever skipped.  The sort-and-sweep is the default; the
+/// exact sweep is the test oracle.
+///
+/// Both read the flat trajectory layout (core/trajectory.hpp); the
+/// FaultTrajectory overload flattens once and forwards.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +46,11 @@ struct IntersectionReport {
 
 /// Which candidate-pair sweep count_intersections runs.  Both produce
 /// identical reports (same conflicts, same order); kPruned only skips
-/// segment pairs whose padded bounding boxes provably cannot conflict.
+/// segment pairs whose padded bounding boxes do not overlap, which
+/// provably cannot conflict.
 enum class IntersectionAlgorithm : std::uint8_t {
-  kPruned,  ///< uniform-grid bounding-box pruning (default)
-  kExact,   ///< the all-pairs reference sweep
+  kPruned,  ///< sort-and-sweep over padded segment boxes (default)
+  kExact,   ///< the all-pairs reference sweep (the test oracle)
 };
 
 struct IntersectionOptions {
@@ -64,7 +71,14 @@ struct IntersectionOptions {
   bool collect_conflicts = true;
 };
 
-/// Count conflicts between every pair of distinct trajectories.
+/// Count conflicts between every pair of distinct trajectories.  A
+/// count-only call (collect_conflicts off) allocates nothing once the
+/// calling thread's sweep buffers are warm.
+[[nodiscard]] IntersectionReport count_intersections(
+    const FlatTrajectories& trajectories,
+    const IntersectionOptions& options = {});
+
+/// Same, flattening \p trajectories first.
 /// \throws ConfigError if trajectories have mismatched dimensions.
 [[nodiscard]] IntersectionReport count_intersections(
     const std::vector<FaultTrajectory>& trajectories,

@@ -49,11 +49,15 @@ double TestVectorEvaluator::fitness(const TestVector& candidate) const {
 
 TestVectorScore TestVectorEvaluator::score(const TestVector& candidate) const {
   const std::vector<FaultTrajectory> trajs = trajectories(candidate);
+  FlatTrajectories flat;
+  flat.assign(trajs);
+  IntersectionOptions count_only;
+  count_only.collect_conflicts = false;
   TestVectorScore out;
   out.vector = candidate;
-  out.fitness = fitness_->evaluate(trajs);
-  out.intersections = count_intersections(trajs).count;
-  out.separation_margin = SeparationFitness().margin(trajs);
+  out.fitness = fitness_->evaluate(flat);
+  out.intersections = count_intersections(flat, count_only).count;
+  out.separation_margin = SeparationFitness().margin(flat);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include "core/trajectory.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -55,6 +56,60 @@ double FaultTrajectory::max_excursion() const {
   return best;
 }
 
+void FlatTrajectories::assign(
+    const std::vector<FaultTrajectory>& trajectories) {
+  dim = trajectories.empty() ? 0 : trajectories.front().dimension();
+  coords.clear();
+  offsets.assign(1, 0);
+  labels.clear();
+  for (const auto& t : trajectories) {
+    if (t.dimension() != dim) {
+      throw ConfigError("trajectories of mixed dimension");
+    }
+    for (const auto& p : t.points()) {
+      coords.insert(coords.end(), p.coords.begin(), p.coords.end());
+    }
+    offsets.push_back(offsets.back() +
+                      static_cast<std::uint32_t>(t.point_count()));
+    labels.push_back(&t.site());
+  }
+}
+
+double FlatTrajectories::max_excursion() const {
+  // Vertex by vertex, the same sum and order as norm(), so the maximum is
+  // bit-identical to FaultTrajectory::max_excursion over the set.
+  double best = 0.0;
+  for (const double* v = coords.data(); v != coords.data() + coords.size();
+       v += dim) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < dim; ++k) acc += v[k] * v[k];
+    best = std::max(best, std::sqrt(acc));
+  }
+  return best;
+}
+
+std::vector<TrajectoryVertex> trajectory_vertices(
+    const faults::FaultDictionary& dictionary, const std::string& site) {
+  std::vector<TrajectoryVertex> vertices;
+  bool golden_inserted = false;
+  for (std::size_t idx : dictionary.entries_for(site)) {
+    const double deviation = dictionary.entries()[idx].fault.deviation;
+    // An entry the universe kept at exactly 0 % is sampled as the golden
+    // point rather than re-sampled.
+    if (deviation == 0.0 || (!golden_inserted && deviation > 0.0)) {
+      vertices.push_back({0, 0.0});
+      golden_inserted = true;
+    }
+    if (deviation != 0.0) vertices.push_back({idx + 1, deviation});
+  }
+  if (!golden_inserted) vertices.push_back({0, 0.0});
+  std::stable_sort(vertices.begin(), vertices.end(),
+                   [](const TrajectoryVertex& a, const TrajectoryVertex& b) {
+                     return a.deviation < b.deviation;
+                   });
+  return vertices;
+}
+
 std::vector<FaultTrajectory> build_trajectories(
     const faults::FaultDictionary& dictionary,
     const std::vector<double>& frequencies_hz, const SamplingPolicy& policy) {
@@ -65,30 +120,14 @@ std::vector<FaultTrajectory> build_trajectories(
   out.reserve(dictionary.site_labels().size());
   for (const auto& site : dictionary.site_labels()) {
     std::vector<TrajectoryPoint> points;
-    const auto& indices = dictionary.entries_for(site);
-    points.reserve(indices.size() + 1);
-    bool golden_inserted = false;
-    for (std::size_t idx : indices) {
-      const auto& entry = dictionary.entries()[idx];
-      if (!golden_inserted && entry.fault.deviation > 0.0) {
-        points.push_back({0.0, golden});
-        golden_inserted = true;
-      }
-      if (entry.fault.deviation == 0.0) {
-        // Universe kept the nominal point explicitly; use the golden
-        // signature for it rather than re-sampling.
-        points.push_back({0.0, golden});
-        golden_inserted = true;
-        continue;
-      }
+    for (const TrajectoryVertex& v : trajectory_vertices(dictionary, site)) {
       points.push_back(
-          {entry.fault.deviation, sampler.sample(entry.response, frequencies_hz)});
+          {v.deviation,
+           v.response == 0
+               ? golden
+               : sampler.sample(dictionary.entries()[v.response - 1].response,
+                                frequencies_hz)});
     }
-    if (!golden_inserted) points.push_back({0.0, golden});
-    std::sort(points.begin(), points.end(),
-              [](const TrajectoryPoint& a, const TrajectoryPoint& b) {
-                return a.deviation < b.deviation;
-              });
     out.emplace_back(site, std::move(points));
   }
   return out;

@@ -4,6 +4,7 @@
 /// origin at 0 % deviation.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,49 @@ private:
   std::string site_;
   std::vector<TrajectoryPoint> points_;
 };
+
+/// A trajectory set in the flat layout every scorer reads: vertex v sits at
+/// coords[v * dim, (v + 1) * dim), trajectory t owns vertices
+/// [offsets[t], offsets[t + 1]) (so a segment's endpoints are contiguous),
+/// and labels[t] points at a site label owned elsewhere.  Refilling a set
+/// for another genome rewrites coordinates only.
+struct FlatTrajectories {
+  std::size_t dim = 0;
+  std::vector<double> coords;
+  std::vector<std::uint32_t> offsets;      ///< size() + 1 entries
+  std::vector<const std::string*> labels;  ///< one per trajectory
+
+  /// Replace the contents with \p trajectories; labels point into them.
+  /// \throws ConfigError if the trajectories have mixed dimensions.
+  void assign(const std::vector<FaultTrajectory>& trajectories);
+
+  [[nodiscard]] std::size_t size() const { return labels.size(); }
+  [[nodiscard]] std::size_t segment_count(std::size_t t) const {
+    return offsets[t + 1] - offsets[t] - 1;
+  }
+  /// Segment s of trajectory t: one endpoint here, the other at + dim.
+  [[nodiscard]] const double* segment(std::size_t t, std::size_t s) const {
+    return coords.data() + (offsets[t] + s) * dim;
+  }
+
+  /// Largest distance of any vertex from the origin (the maximum of
+  /// FaultTrajectory::max_excursion over the set).
+  [[nodiscard]] double max_excursion() const;
+};
+
+/// One vertex of a site's trajectory: the response that supplies it (0 the
+/// golden, 1 + e dictionary entry e, the numbering of
+/// FaultDictionary::planes()) and its deviation.
+struct TrajectoryVertex {
+  std::size_t response = 0;
+  double deviation = 0.0;
+};
+
+/// The vertices of \p site's trajectory in deviation order: every entry of
+/// the site plus the golden point at deviation 0, which also stands in for
+/// an entry the universe kept at exactly 0 %.
+[[nodiscard]] std::vector<TrajectoryVertex> trajectory_vertices(
+    const faults::FaultDictionary& dictionary, const std::string& site);
 
 /// Build one trajectory per dictionary site at the given test frequencies.
 /// The golden signature (origin under the default policy) is inserted at

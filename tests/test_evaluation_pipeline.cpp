@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <map>
 
 #include "circuits/registry.hpp"
 #include "core/fitness.hpp"
@@ -15,6 +17,7 @@
 #include "faults/dictionary.hpp"
 #include "faults/fault_universe.hpp"
 #include "ga/baselines.hpp"
+#include "obs/metrics.hpp"
 #include "session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -22,13 +25,21 @@
 namespace ftdiag {
 namespace {
 
+const faults::FaultDictionary& dictionary_of(const std::string& name) {
+  static std::map<std::string, faults::FaultDictionary> dictionaries;
+  auto it = dictionaries.find(name);
+  if (it == dictionaries.end()) {
+    const auto cut = circuits::make_by_name(name);
+    it = dictionaries
+             .emplace(name, faults::FaultDictionary::build(
+                                cut, faults::FaultUniverse::over_testable(cut)))
+             .first;
+  }
+  return it->second;
+}
+
 const faults::FaultDictionary& paper_dictionary() {
-  static const faults::FaultDictionary dictionary = [] {
-    const auto cut = circuits::make_by_name("sallen_key_lp");
-    return faults::FaultDictionary::build(
-        cut, faults::FaultUniverse::over_testable(cut));
-  }();
-  return dictionary;
+  return dictionary_of("sallen_key_lp");
 }
 
 std::vector<std::vector<double>> random_genomes(std::size_t count,
@@ -55,7 +66,7 @@ TEST(EvaluationPipeline, MatchesScalarEvaluatorAtSnappedFrequencies) {
       snapped.frequencies_hz.push_back(std::pow(10.0, pipeline.snap(g)));
     }
     snapped.normalize();
-    EXPECT_DOUBLE_EQ(pipeline.evaluate_one(genome),
+    EXPECT_DOUBLE_EQ(pipeline.evaluate({genome}).front(),
                      evaluator.fitness(snapped));
   }
 }
@@ -122,6 +133,76 @@ TEST(EvaluationPipeline, CacheNeverChangesScores) {
   EXPECT_GT(stats.column_hits, 0u);
   EXPECT_EQ(with_cache.options().cache_signatures, true);
   EXPECT_EQ(without_cache.stats().column_hits, 0u);
+}
+
+TEST(EvaluationPipeline, StatsAreIdenticalAcrossThreadCounts) {
+  // 32 distinct genomes, each appearing twice in one batch: the repeat is
+  // a memo hit on its first occurrence and is not scored again, whichever
+  // lane would have scored it.
+  const core::TestVectorEvaluator evaluator(dictionary_of("rc_ladder"));
+  std::vector<std::vector<double>> genomes = random_genomes(32, 2, 31);
+  const std::vector<std::vector<double>> distinct = genomes;
+  genomes.insert(genomes.end(), distinct.begin(), distinct.end());
+  const obs::Counter& hits_total =
+      obs::Registry::global().counter("ftdiag_pipeline_genome_hits_total");
+
+  core::PipelineOptions serial;
+  serial.threads = 1;
+  const core::EvaluationPipeline reference(evaluator, serial);
+  const std::vector<double> expected = reference.evaluate(genomes);
+  const core::PipelineStats want = reference.stats();
+  EXPECT_EQ(want.genomes_evaluated, 64u);
+  EXPECT_EQ(want.genome_hits, 32u);
+  EXPECT_EQ(want.column_hits + want.column_misses, 64u);  // 32 jobs x 2 keys
+
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    core::PipelineOptions options;
+    options.threads = threads;
+    const core::EvaluationPipeline pipeline(evaluator, options);
+    const std::uint64_t hits_before = hits_total.value();
+    EXPECT_EQ(pipeline.evaluate(genomes), expected) << "threads=" << threads;
+    EXPECT_EQ(hits_total.value() - hits_before, 32u) << "threads=" << threads;
+    const core::PipelineStats got = pipeline.stats();
+    EXPECT_EQ(got.genomes_evaluated, want.genomes_evaluated);
+    EXPECT_EQ(got.genome_hits, want.genome_hits) << "threads=" << threads;
+    EXPECT_EQ(got.column_hits, want.column_hits) << "threads=" << threads;
+    EXPECT_EQ(got.column_misses, want.column_misses) << "threads=" << threads;
+  }
+}
+
+/// Scores like the paper's fitness, but throws while armed.
+class ArmedFitness final : public core::TrajectoryFitness {
+public:
+  using TrajectoryFitness::evaluate;
+  [[nodiscard]] double evaluate(
+      const core::FlatTrajectories& trajectories) const override {
+    if (armed) throw ConfigError("armed fitness");
+    return paper.evaluate(trajectories);
+  }
+  [[nodiscard]] std::string name() const override { return "armed"; }
+
+  std::atomic<bool> armed{true};
+  core::IntersectionFitness paper;
+};
+
+TEST(EvaluationPipeline, AFailedBatchLeavesTheCachesAsTheyWere) {
+  const auto fitness = std::make_shared<ArmedFitness>();
+  const core::TestVectorEvaluator armed(paper_dictionary(), {}, fitness);
+  const core::TestVectorEvaluator plain(paper_dictionary());
+  const auto genomes = random_genomes(16, 2, 37);
+  core::PipelineOptions options;
+  options.threads = 2;
+  const core::EvaluationPipeline pipeline(armed, options);
+  EXPECT_THROW((void)pipeline.evaluate(genomes), ConfigError);
+  EXPECT_EQ(pipeline.stats().genomes_evaluated, 0u);
+
+  // Nothing of the failed batch may be remembered: no memo hits, and
+  // every column it planned is planned (and built) again.
+  fitness->armed = false;
+  const core::EvaluationPipeline reference(plain, options);
+  EXPECT_EQ(pipeline.evaluate(genomes), reference.evaluate(genomes));
+  EXPECT_EQ(pipeline.stats().genome_hits, reference.stats().genome_hits);
+  EXPECT_EQ(pipeline.stats().column_misses, reference.stats().column_misses);
 }
 
 TEST(EvaluationPipeline, RejectsNonPositiveQuantum) {

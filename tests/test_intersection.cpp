@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+
+#include "circuits/registry.hpp"
+#include "core/evaluation_pipeline.hpp"
+#include "ga/genetic_algorithm.hpp"
+#include "session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +77,7 @@ TEST(Intersections, OverlapCountingCanBeDisabled) {
 TEST(Intersections, SingleTrajectoryHasNoConflicts) {
   const std::vector<FaultTrajectory> trajs = {straight_line("A", {1.0, 0.0})};
   EXPECT_EQ(count_intersections(trajs).count, 0u);
-  EXPECT_EQ(count_intersections({}).count, 0u);
+  EXPECT_EQ(count_intersections(std::vector<FaultTrajectory>{}).count, 0u);
 }
 
 TEST(Intersections, MixedDimensionsRejected) {
@@ -253,6 +261,108 @@ TEST(PrunedIntersections, HandlesCoincidentAndDegenerateSets) {
     pruned_options.algorithm = IntersectionAlgorithm::kPruned;
     expect_identical_reports(count_intersections(*trajs, exact_options),
                              count_intersections(*trajs, pruned_options));
+  }
+}
+
+TEST(PrunedIntersections, MatchesExactWithNonFiniteCoordinates) {
+  // A dB signature of an exactly-zero response is -inf, and golden-relative
+  // coordinates then hold NaN: the pruned sweep must still report what the
+  // exact sweep reports.
+  Rng rng(5);
+  for (std::size_t dim : {2u, 3u}) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       -std::numeric_limits<double>::infinity()}) {
+      std::vector<FaultTrajectory> trajs = random_trajectories(rng, 8, dim);
+      std::vector<TrajectoryPoint> pts = trajs[3].points();
+      pts.front().coords[0] = bad;
+      pts.back().coords[dim - 1] = bad;
+      trajs[3] = FaultTrajectory(trajs[3].site(), std::move(pts));
+      IntersectionOptions exact_options;
+      exact_options.algorithm = IntersectionAlgorithm::kExact;
+      exact_options.near_threshold = 0.1;
+      IntersectionOptions pruned_options = exact_options;
+      pruned_options.algorithm = IntersectionAlgorithm::kPruned;
+      // NaN never compares equal, so the pairs are compared, not `at`.
+      const auto exact = count_intersections(trajs, exact_options);
+      const auto pruned = count_intersections(trajs, pruned_options);
+      ASSERT_EQ(exact.count, pruned.count);
+      ASSERT_EQ(exact.conflicts.size(), pruned.conflicts.size());
+      for (std::size_t c = 0; c < exact.conflicts.size(); ++c) {
+        EXPECT_EQ(exact.conflicts[c].site_a, pruned.conflicts[c].site_a);
+        EXPECT_EQ(exact.conflicts[c].site_b, pruned.conflicts[c].site_b);
+        EXPECT_EQ(exact.conflicts[c].segment_a, pruned.conflicts[c].segment_a);
+        EXPECT_EQ(exact.conflicts[c].segment_b, pruned.conflicts[c].segment_b);
+      }
+    }
+  }
+}
+
+/// Scores through the pipeline and keeps every genome the optimizer
+/// proposed, snapped and sorted (so repeats are replayed once).
+class RecordingObjective final : public ga::BatchObjective {
+public:
+  explicit RecordingObjective(const EvaluationPipeline& pipeline)
+      : pipeline_(pipeline) {}
+
+  [[nodiscard]] std::vector<double> evaluate(
+      const std::vector<std::vector<double>>& genomes) const override {
+    for (const auto& genes : genomes) {
+      std::vector<double> snapped;
+      for (double g : genes) snapped.push_back(pipeline_.snap(g));
+      std::sort(snapped.begin(), snapped.end());
+      proposed_.insert(std::move(snapped));
+    }
+    return pipeline_.evaluate(genomes);
+  }
+
+  [[nodiscard]] const std::set<std::vector<double>>& proposed() const {
+    return proposed_;
+  }
+
+private:
+  const EvaluationPipeline& pipeline_;
+  mutable std::set<std::vector<double>> proposed_;
+};
+
+TEST(PrunedIntersections, MatchesExactOnEveryPaperGaGenomeOfTheRegistry) {
+  // The trajectory sets the paper GA actually scores: 2 frequencies give
+  // 2-D crossings, 3 frequencies the n-D near-miss mode.
+  for (const std::string& name : circuits::registry_names()) {
+    for (std::size_t n : {2u, 3u}) {
+      SearchOptions search;
+      search.n_frequencies = n;
+      const Session session =
+          SessionBuilder::from_registry(name).search(search).build();
+      const EvaluationPipeline pipeline(session.evaluator());
+      const RecordingObjective recorder(pipeline);
+      Rng rng(search.seed);
+      (void)ga::GeneticAlgorithm(search.ga)
+          .optimize(recorder, n, session.bounds(), rng);
+      ASSERT_GT(recorder.proposed().size(), 100u) << name;
+
+      IntersectionOptions exact;
+      exact.algorithm = IntersectionAlgorithm::kExact;
+      IntersectionOptions pruned;
+      pruned.algorithm = IntersectionAlgorithm::kPruned;
+      IntersectionOptions exact_count = exact;
+      exact_count.collect_conflicts = false;
+      IntersectionOptions pruned_count = pruned;
+      pruned_count.collect_conflicts = false;
+      for (const auto& genes : recorder.proposed()) {
+        const auto trajs = pipeline.trajectories(genes);
+        const IntersectionReport reference = count_intersections(trajs, exact);
+        ASSERT_EQ(count_intersections(trajs, exact_count).count,
+                  reference.count);
+        ASSERT_EQ(count_intersections(trajs, pruned_count).count,
+                  reference.count)
+            << name << " n=" << n;
+        expect_identical_reports(reference,
+                                 count_intersections(trajs, pruned));
+        if (HasFailure()) {
+          FAIL() << name << " n=" << n << ": pruned sweep differs";
+        }
+      }
+    }
   }
 }
 

@@ -379,6 +379,37 @@ TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
   }
 }
 
+/// Rank-1 refusal forced: with max_growth just above 1, almost every
+/// Sherman–Morrison update exceeds the growth bound, so the engine refuses
+/// it and solves the fault x frequency pair on a refactorized analysis.
+/// The refusals must be counted as full solves, and the responses must
+/// still match the reuse-off naive solve.
+TEST(SimulationEngine, Rank1RefusalFallsBackToFullSolves) {
+  const auto cut = circuits::make_by_name("state_variable");
+  const auto freqs = test_grid(cut);
+  const auto faults = FaultUniverse::over_testable(cut).enumerate();
+
+  const BatchResult reuse =
+      SimulationEngine(cut, SimOptions{}).simulate_all(faults, freqs);
+  SimOptions strict;
+  strict.max_growth = 1.0 + 1e-9;
+  const BatchResult refused =
+      SimulationEngine(cut, strict).simulate_all(faults, freqs);
+  EXPECT_GT(refused.stats.full_solves, reuse.stats.full_solves);
+  EXPECT_LT(refused.stats.rank1_solves, reuse.stats.rank1_solves);
+  EXPECT_EQ(refused.stats.rank1_solves + refused.stats.full_solves,
+            faults.size() * freqs.size());
+  EXPECT_EQ(refused.stats.fallback_faults, 0u);
+
+  const Reference reference = naive_reference(cut, faults, freqs);
+  const double scale = response_scale(reference.golden);
+  ASSERT_EQ(refused.responses.size(), faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    expect_close(refused.responses[i], reference.responses[i], scale,
+                 "refused " + faults[i].label());
+  }
+}
+
 TEST(SimulationEngine, RejectsBadOptions) {
   SimOptions options;
   options.max_growth = 1.0;

@@ -5,7 +5,9 @@
 /// ZERO heap allocations once its buffers are warm, and the full engine's
 /// allocation count must be independent of the frequency-grid size (the
 /// per-frequency inner loop allocates nothing; only per-fault result
-/// storage scales).
+/// storage scales).  The GA's batch scoring is held to the same standard:
+/// once the signature columns are cached, a batch's allocation count must
+/// not grow with the number of genomes it scores.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,8 @@
 #include "circuits/ladders.hpp"
 #include "circuits/nf_biquad.hpp"
 #include "circuits/registry.hpp"
+#include "core/evaluation_pipeline.hpp"
+#include "faults/dictionary.hpp"
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
 #include "linalg/lu.hpp"
@@ -205,6 +209,68 @@ TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
     EXPECT_LE(at_400, at_40 + 64)
         << cut.name << ": engine allocations grew with the frequency grid";
   }
+}
+
+TEST(ZeroAllocation, WarmPipelineBatchAllocationsDoNotGrowWithBatchSize) {
+  const auto cut = circuits::make_by_name("sallen_key_lp");
+  const auto dictionary = faults::FaultDictionary::build(
+      cut, faults::FaultUniverse::over_testable(cut));
+  const core::TestVectorEvaluator evaluator(dictionary);
+  core::PipelineOptions options;
+  options.threads = 1;  // every lane buffer is then warm after one batch
+  const core::EvaluationPipeline pipeline(evaluator, options);
+
+  // Genes on 48 quantum steps: the diagonal genomes cache every column,
+  // and the 1128 off-diagonal pairs are distinct genomes that reuse them.
+  constexpr std::size_t kGenes = 48;
+  auto gene = [&](std::size_t k) {
+    return 2.0 + static_cast<double>(3 * k) * options.frequency_quantum;
+  };
+  std::vector<std::vector<double>> pairs;
+  for (std::size_t a = 0; a < kGenes; ++a) {
+    for (std::size_t b = a + 1; b < kGenes; ++b) {
+      pairs.push_back({gene(a), gene(b)});
+    }
+  }
+  std::vector<std::vector<double>> diagonal;
+  for (std::size_t k = 0; k < kGenes; ++k) diagonal.push_back({gene(k), gene(k)});
+  (void)pipeline.evaluate(diagonal);
+  const std::size_t misses = pipeline.stats().column_misses;
+  ASSERT_EQ(misses, kGenes);
+
+  // A large warm-up batch sizes the per-batch buffers, then a small and a
+  // large batch of fresh genomes are counted.
+  std::size_t next = 0;
+  auto batch_of = [&](std::size_t count) {
+    std::vector<std::vector<double>> batch(pairs.begin() + next,
+                                           pairs.begin() + next + count);
+    next += count;
+    return batch;
+  };
+  (void)pipeline.evaluate(batch_of(512));
+  auto allocations = [&](const std::vector<std::vector<double>>& batch) {
+    const std::size_t before =
+        g_allocation_count.load(std::memory_order_relaxed);
+    const std::vector<double> scores = pipeline.evaluate(batch);
+    const std::size_t after =
+        g_allocation_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(scores.size(), batch.size());
+    return after - before;
+  };
+  const std::vector<std::vector<double>> small = batch_of(16);
+  const std::vector<std::vector<double>> large = batch_of(256);
+  const std::size_t at_16 = allocations(small);
+  const std::size_t at_256 = allocations(large);
+
+  EXPECT_EQ(pipeline.stats().column_misses, misses)
+      << "the counted batches must only reuse cached columns";
+  EXPECT_EQ(pipeline.stats().genome_hits, 0u)
+      << "the counted batches must only hold unmemoized genomes";
+  // One allocation per genome would add 240 here; the slack covers the
+  // geometric growth of the fitness memo's flat storage.
+  EXPECT_LE(at_256, at_16 + 4)
+      << "pipeline allocations grew with the batch size (16 genomes: "
+      << at_16 << ", 256 genomes: " << at_256 << ")";
 }
 
 }  // namespace

@@ -127,15 +127,12 @@ EvaluationPipeline::EvaluationPipeline(const TestVectorEvaluator& evaluator,
   }
   lanes_.assign(std::max<std::size_t>(1, threads), Lane{layout_, {}});
 
-  // Interpolation tables, built straight off the dictionary's consolidated
-  // SoA planes (which hold the same bits as every response's values()),
-  // one response row per pool item.  Every response shares the golden's
-  // grid: FaultDictionary::from_parts rejects an entry off it.
-  const faults::FaultDictionary::SignaturePlanes& planes = dictionary.planes();
-  grid_size_ = dictionary.golden().size();
-  responses_ = dictionary.entries().size() + 1;
-  FTDIAG_ASSERT(planes.grid == grid_size_ && planes.responses == responses_,
-                "dictionary planes mismatch the shared grid");
+  // Interpolation tables, built straight off the dictionary's SoA block
+  // (the storage every response is a row of), one response row per pool
+  // item.
+  const mna::ResponsePlanes& planes = dictionary.planes();
+  grid_size_ = planes.grid();
+  responses_ = planes.rows;
   table_mag_.resize(responses_ * grid_size_);
   table_log_mag_.resize(responses_ * grid_size_);
   table_phase_.resize(responses_ * grid_size_);
@@ -175,7 +172,7 @@ void EvaluationPipeline::build_column(std::int64_t key, double* column) const {
       std::pow(10.0, static_cast<double>(key) * options_.frequency_quantum);
   const SamplingPolicy& policy = evaluator_.policy();
   const faults::FaultDictionary& dictionary = evaluator_.dictionary();
-  const faults::FaultDictionary::SignaturePlanes& planes = dictionary.planes();
+  const mna::ResponsePlanes& planes = dictionary.planes();
 
   // One locate serves every response; values are reconstructed from the
   // precomputed tables, bit-identical to AcResponse::interpolate.

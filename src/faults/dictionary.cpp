@@ -28,7 +28,7 @@ FaultDictionary FaultDictionary::build(const circuits::CircuitUnderTest& cut,
 FaultDictionary FaultDictionary::build(
     const circuits::CircuitUnderTest& cut, const FaultUniverse& universe,
     const std::vector<double>& frequencies_hz, const SimOptions& sim) {
-  const std::vector<ParametricFault> faults = universe.enumerate();
+  std::vector<ParametricFault> faults = universe.enumerate();
   log::info(str::format(
       "building fault dictionary: %zu faults x %zu freqs (%zu threads, "
       "reuse %s)",
@@ -42,29 +42,26 @@ FaultDictionary FaultDictionary::build(
       "faults",
       batch.stats.rank1_solves, batch.stats.full_solves,
       batch.stats.fallback_faults));
-
-  std::vector<DictionaryEntry> entries;
-  entries.reserve(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    entries.push_back({faults[i], std::move(batch.responses[i])});
-  }
-  return from_parts(std::move(batch.golden), std::move(entries));
+  return assemble(std::move(faults), batch.golden.block());
 }
 
-FaultDictionary FaultDictionary::from_parts(
-    mna::AcResponse golden, std::vector<DictionaryEntry> entries) {
-  if (entries.empty()) {
+FaultDictionary FaultDictionary::assemble(
+    std::vector<ParametricFault> faults,
+    std::shared_ptr<const mna::ResponsePlanes> planes) {
+  if (faults.empty()) {
     throw ConfigError("fault dictionary needs at least one entry");
   }
-  for (const auto& entry : entries) {
-    if (entry.response.frequencies() != golden.frequencies()) {
-      throw ConfigError("dictionary entry '" + entry.fault.label() +
-                        "' is not on the golden frequency grid");
-    }
+  if (!planes || planes->rows != faults.size() + 1) {
+    throw ConfigError(
+        "dictionary planes need one row per fault plus the golden");
   }
   FaultDictionary dict;
-  dict.golden_ = std::move(golden);
-  dict.entries_ = std::move(entries);
+  dict.golden_ = mna::AcResponse(planes, 0);
+  dict.entries_.reserve(faults.size());
+  for (std::size_t e = 0; e < faults.size(); ++e) {
+    dict.entries_.push_back(
+        {std::move(faults[e]), mna::AcResponse(planes, 1 + e)});
+  }
 
   // Per-site index, deviations ascending (enumerate() already orders them,
   // but do not rely on it).
@@ -82,26 +79,6 @@ FaultDictionary FaultDictionary::from_parts(
     std::sort(indices.begin(), indices.end(), [&](std::size_t a, std::size_t b) {
       return dict.entries_[a].fault.deviation < dict.entries_[b].fault.deviation;
     });
-  }
-
-  // Consolidated SoA signature planes (golden first), the contiguous
-  // frequency-major view the SIMD paths read.  Values are copied bit-for-
-  // bit from the per-response planes, so plane readers and values()
-  // readers always agree exactly.
-  const std::size_t grid = dict.golden_.size();
-  dict.planes_.grid = grid;
-  dict.planes_.responses = dict.entries_.size() + 1;
-  dict.planes_.re.resize(dict.planes_.responses * grid);
-  dict.planes_.im.resize(dict.planes_.responses * grid);
-  auto copy_planes = [&](std::size_t r, const mna::AcResponse& response) {
-    std::copy(response.reals().begin(), response.reals().end(),
-              dict.planes_.re.begin() + r * grid);
-    std::copy(response.imags().begin(), response.imags().end(),
-              dict.planes_.im.begin() + r * grid);
-  };
-  copy_planes(0, dict.golden_);
-  for (std::size_t e = 0; e < dict.entries_.size(); ++e) {
-    copy_planes(1 + e, dict.entries_[e].response);
   }
   return dict;
 }

@@ -5,15 +5,20 @@
 /// The dictionary is the expensive artefact (one AC sweep per fault).  The
 /// trajectory layer evaluates GA-proposed test frequencies against the
 /// dictionary by interpolation, so the GA never re-runs fault simulation.
+///
+/// Every sample is stored once: the dictionary is its fault list, one
+/// private mna::ResponsePlanes block (the golden in row 0, entry e in row
+/// 1 + e) and a per-site index.  golden() and entries()[e].response are
+/// row views of that block, and each keeps it alive.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
-#include "linalg/simd.hpp"
 #include "mna/response.hpp"
 
 namespace ftdiag::faults {
@@ -21,7 +26,7 @@ namespace ftdiag::faults {
 /// One dictionary row.
 struct DictionaryEntry {
   ParametricFault fault;
-  mna::AcResponse response;
+  mna::AcResponse response;  ///< row 1 + e of the dictionary's planes()
 };
 
 class FaultDictionary {
@@ -44,11 +49,14 @@ public:
       const circuits::CircuitUnderTest& cut, const FaultUniverse& universe,
       const std::vector<double>& frequencies_hz, const SimOptions& sim);
 
-  /// Assemble from already-simulated parts (deserialization path).  All
-  /// responses must share the golden grid.
-  /// \throws ConfigError on grid mismatches or an empty entry list.
-  [[nodiscard]] static FaultDictionary from_parts(
-      mna::AcResponse golden, std::vector<DictionaryEntry> entries);
+  /// Assemble from a filled block (the one factory every producer —
+  /// engine, CSV and `.fdx` loaders — goes through): \p planes holds the
+  /// golden in row 0 and the response of faults[e] in row 1 + e.
+  /// \throws ConfigError on an empty fault list or a row count that does
+  /// not match it.
+  [[nodiscard]] static FaultDictionary assemble(
+      std::vector<ParametricFault> faults,
+      std::shared_ptr<const mna::ResponsePlanes> planes);
 
   [[nodiscard]] const mna::AcResponse& golden() const { return golden_; }
   [[nodiscard]] const std::vector<DictionaryEntry>& entries() const {
@@ -71,22 +79,15 @@ public:
     return golden_.frequencies();
   }
 
-  /// All signatures of the dictionary as two contiguous 64-byte-aligned
-  /// re/im planes, frequency-major within each response: response r
-  /// (r = 0 is the golden, r = 1 + e is entry e) occupies
-  /// [r * grid(), (r + 1) * grid()) of each plane.  This is the SoA view
-  /// the SIMD scoring/interpolation paths read; it is (re)built by
-  /// from_parts(), i.e. at build, load and mmap-attach time — the `.fdx`
-  /// wire format stays interleaved and the mmap path stays zero-copy.
-  struct SignaturePlanes {
-    std::size_t grid = 0;       ///< shared frequency-grid size
-    std::size_t responses = 0;  ///< golden + entries
-    linalg::simd::AlignedVector re, im;
-  };
-  [[nodiscard]] const SignaturePlanes& planes() const { return planes_; }
+  /// The storage: every signature of the dictionary, response r (r = 0 is
+  /// the golden, r = 1 + e is entry e) in row r of two contiguous
+  /// 64-byte-aligned re/im planes.  The SIMD scoring and interpolation
+  /// paths read it directly.
+  [[nodiscard]] const mna::ResponsePlanes& planes() const {
+    return *golden_.block();
+  }
 
 private:
-  SignaturePlanes planes_;
   mna::AcResponse golden_;
   std::vector<DictionaryEntry> entries_;
   std::vector<std::string> site_labels_;

@@ -43,7 +43,7 @@ mna::AcResponse add_measurement_noise(const mna::AcResponse& response,
     // Clamp so a large noise draw cannot flip the magnitude sign.
     v *= factor > 0.01 ? factor : 0.01;
   }
-  return mna::AcResponse(response.frequencies(), std::move(values));
+  return mna::AcResponse(response.frequencies(), values);
 }
 
 }  // namespace ftdiag::faults

@@ -43,11 +43,9 @@ struct SiteItem {
   mna::Rank1StampUpdate update;
 };
 
-/// Per-site accumulation that survives across frequency blocks: split
-/// re/im response planes per fault (the AcResponse SoA layout, written
-/// pack-at-a-time by the SIMD sweep).
+/// Per-site state that survives across frequency blocks (the responses
+/// themselves go straight into the batch's block).
 struct SiteState {
-  std::vector<AlignedVector> re, im;  ///< [fault in site][frequency]
   /// Refactorized analyses for ill-conditioned pairs, lazy per fault.
   std::vector<std::unique_ptr<mna::AcAnalysis>> refactorized;
   std::size_t rank1_solves = 0;
@@ -149,14 +147,16 @@ struct EngineMetrics {
   }
 };
 
-/// Naive per-fault path: inject and sweep from scratch.  This is the exact
-/// computation of the legacy serial loop, so reuse-off results (and
-/// fallback faults) stay bit-identical to it.
-mna::AcResponse naive_response(const circuits::CircuitUnderTest& cut,
-                               const ParametricFault& fault,
-                               const std::vector<double>& frequencies_hz) {
-  mna::AcAnalysis analysis(inject(cut.circuit, fault));
-  return analysis.sweep(frequencies_hz, cut.output_node);
+/// Naive per-fault path: inject and sweep from scratch into the fault's
+/// row.  This is the exact computation of the legacy serial loop, so
+/// reuse-off results (and fallback faults) stay bit-identical to it.
+void naive_row(const circuits::CircuitUnderTest& cut,
+               const ParametricFault& fault,
+               const std::vector<double>& frequencies_hz,
+               mna::ResponsePlanes& block, std::size_t row) {
+  mna::AcAnalysis(inject(cut.circuit, fault))
+      .sweep_into(frequencies_hz, cut.output_node, block.row_re(row),
+                  block.row_im(row));
 }
 
 /// The per-fault Sherman–Morrison scale over a frequency block, written
@@ -199,7 +199,8 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
 /// backend batched P::width frequencies per SIMD lane with full solves, on
 /// the sparse backend one refactor per frequency with read-set solves
 /// only.  Phase 2 fans the sites out over the SIMD Sherman–Morrison sweep,
-/// reading nothing but those inputs.  Instantiated once on the native
+/// reading nothing but those inputs.  The golden goes to row 0 of
+/// \p block and fault i to row 1 + i.  Instantiated once on the native
 /// pack and once on ScalarPack (the runtime FTDIAG_SIMD=off twin); every
 /// frequency's arithmetic is independent of which lane computes it and
 /// batch membership is width-determined, so results are bit-stable across
@@ -214,8 +215,7 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
                      context,
                  const std::vector<SiteItem>& sites,
                  std::vector<SiteState>& state, std::size_t threads,
-                 std::size_t out, AlignedVector& golden_re,
-                 AlignedVector& golden_im) {
+                 std::size_t out, mna::ResponsePlanes& block) {
   constexpr std::size_t kW = P::width;
   using C = linalg::simd::CPack<P>;
 
@@ -271,8 +271,6 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
   }
   std::vector<SiteLane> site_lanes(
       std::max<std::size_t>(1, std::min(threads, site_count)));
-  golden_re.resize(total);
-  golden_im.resize(total);
 
   for (std::size_t begin = 0; begin < total; begin += kFrequencyBlock) {
     // Timed at the sequential outer loop: one observation per block,
@@ -371,8 +369,8 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
         }
       });
     }
-    std::copy_n(in.x0_re.data(), m, &golden_re[begin]);
-    std::copy_n(in.x0_im.data(), m, &golden_im[begin]);
+    std::copy_n(in.x0_re.data(), m, block.row_re(0) + begin);
+    std::copy_n(in.x0_im.data(), m, block.row_im(0) + begin);
 
     par::parallel_for_lanes(site_count, threads, [&](std::size_t lane,
                                                      std::size_t si) {
@@ -391,8 +389,8 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
             &in.vx0_im[at], &in.vw_re[at], &in.vw_im[at], in.x0_re.data(),
             in.x0_im.data(), &in.w_re[at], &in.w_im[at], options.max_growth,
             ws.out_re.data(), ws.out_im.data(), ws.refused.data());
-        AlignedVector& re = site.re[k];
-        AlignedVector& im = site.im[k];
+        double* re = block.row_re(1 + item.fault_indices[k]);
+        double* im = block.row_im(1 + item.fault_indices[k]);
         for (std::size_t bi = 0; bi < m; ++bi) {
           if (!ws.refused[bi]) {
             re[begin + bi] = ws.out_re[bi];
@@ -443,8 +441,19 @@ BatchResult SimulationEngine::simulate_all(
   const mna::MnaSystem system(cut_.circuit);
   const std::size_t out = system.node_unknown(cut_.output_node);
 
+  // The batch's one block: the golden in row 0, fault i in row 1 + i.
+  // Every path below writes its rows in place; the result's responses are
+  // row views of it.
+  auto block =
+      std::make_shared<mna::ResponsePlanes>(frequencies_hz, 1 + faults.size());
   BatchResult result;
-  result.responses.resize(faults.size());
+  auto publish_rows = [&] {
+    const std::shared_ptr<const mna::ResponsePlanes> planes = std::move(block);
+    result.golden = mna::AcResponse(planes, 0);
+    for (std::size_t r = 1; r < planes->rows; ++r) {
+      result.responses.emplace_back(planes, r);
+    }
+  };
 
   // Reuse works on every size: the golden phase factors through the
   // backend-neutral SweepSolver context (batched dense LU small, per-lane
@@ -459,15 +468,17 @@ BatchResult SimulationEngine::simulate_all(
 
   const bool reuse = options_.reuse_factorization && out != mna::kNoUnknown;
   if (!reuse) {
-    result.golden = mna::AcAnalysis(cut_.circuit)
-                        .sweep(frequencies_hz, cut_.output_node);
+    mna::AcAnalysis(cut_.circuit)
+        .sweep_into(frequencies_hz, cut_.output_node, block->row_re(0),
+                    block->row_im(0));
     par::parallel_for(faults.size(), threads, [&](std::size_t i) {
-      result.responses[i] = naive_response(cut_, faults[i], frequencies_hz);
+      naive_row(cut_, faults[i], frequencies_hz, *block, 1 + i);
     });
     result.stats.full_solves = faults.size() * frequencies_hz.size();
     result.stats.fallback_faults = faults.size();
     metrics.full_solves.inc(result.stats.full_solves);
     metrics.fallback_faults.inc(result.stats.fallback_faults);
+    publish_rows();
     return result;
   }
 
@@ -506,7 +517,7 @@ BatchResult SimulationEngine::simulate_all(
   // fanned out across the pool.
   par::parallel_for(fallback.size(), threads, [&](std::size_t j) {
     const std::size_t i = fallback[j];
-    result.responses[i] = naive_response(cut_, faults[i], frequencies_hz);
+    naive_row(cut_, faults[i], frequencies_hz, *block, 1 + i);
   });
   result.stats.fallback_faults = fallback.size();
   result.stats.full_solves = fallback.size() * frequencies_hz.size();
@@ -514,10 +525,6 @@ BatchResult SimulationEngine::simulate_all(
   const std::size_t site_count = sites.size();
   std::vector<SiteState> state(site_count);
   for (std::size_t si = 0; si < site_count; ++si) {
-    state[si].re.assign(sites[si].fault_indices.size(),
-                        AlignedVector(frequencies_hz.size()));
-    state[si].im.assign(sites[si].fault_indices.size(),
-                        AlignedVector(frequencies_hz.size()));
     state[si].refactorized.resize(sites[si].fault_indices.size());
   }
 
@@ -542,31 +549,23 @@ BatchResult SimulationEngine::simulate_all(
   // variable) turns vectorization off.  Same formulas per lane either
   // way — the configurations differ only in how many frequencies share
   // one instruction.
-  AlignedVector golden_re, golden_im;
   if (linalg::simd::enabled()) {
     reuse_sweep<linalg::simd::DefaultPack>(
         cut_, options_, faults, frequencies_hz, assembler, context, sites,
-        state, threads, out, golden_re, golden_im);
+        state, threads, out, *block);
   } else {
     reuse_sweep<linalg::simd::ScalarPack>(
         cut_, options_, faults, frequencies_hz, assembler, context, sites,
-        state, threads, out, golden_re, golden_im);
+        state, threads, out, *block);
   }
-  result.golden = mna::AcResponse(frequencies_hz, std::move(golden_re),
-                                  std::move(golden_im));
-
-  for (std::size_t si = 0; si < site_count; ++si) {
-    for (std::size_t k = 0; k < sites[si].fault_indices.size(); ++k) {
-      result.responses[sites[si].fault_indices[k]] =
-          mna::AcResponse(frequencies_hz, std::move(state[si].re[k]),
-                          std::move(state[si].im[k]));
-    }
-    result.stats.rank1_solves += state[si].rank1_solves;
-    result.stats.full_solves += state[si].full_solves;
+  for (const SiteState& site : state) {
+    result.stats.rank1_solves += site.rank1_solves;
+    result.stats.full_solves += site.full_solves;
   }
   metrics.rank1_solves.inc(result.stats.rank1_solves);
   metrics.full_solves.inc(result.stats.full_solves);
   metrics.fallback_faults.inc(result.stats.fallback_faults);
+  publish_rows();
   return result;
 }
 

@@ -74,7 +74,8 @@ struct EngineStats {
 };
 
 /// One batch of fault simulation: the golden response plus one response
-/// per input fault, in input order.
+/// per input fault, in input order.  All are row views of one block
+/// (golden.block()): the golden in row 0, fault i in row 1 + i.
 struct BatchResult {
   mna::AcResponse golden;
   std::vector<mna::AcResponse> responses;

@@ -94,19 +94,9 @@ std::uint32_t ByteReader::get_u32() {
   return v;
 }
 
-std::uint64_t ByteReader::get_u64() {
-  const char* p = need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
+std::uint64_t ByteReader::get_u64() { return load_u64_le(need(8)); }
 
-double ByteReader::get_f64() {
-  return std::bit_cast<double>(get_u64());
-}
+double ByteReader::get_f64() { return load_f64_le(need(8)); }
 
 std::string ByteReader::get_str() {
   const std::uint32_t size = get_u32();

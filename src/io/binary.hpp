@@ -12,8 +12,10 @@
 /// or a giant allocation.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -45,6 +47,25 @@ void pad_to(std::string& out, std::size_t alignment);
 void seal_block(std::string& out, std::size_t begin);
 
 // --------------------------------------------------------------- reader
+
+/// The little-endian u64 / f64 at \p p, any alignment: the one 8-byte
+/// reader of every decoder (the byte swap compiles out on little-endian
+/// hosts).
+[[nodiscard]] inline std::uint64_t load_u64_le(const char* p) {
+  std::uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+           << (8 * i);
+    }
+  }
+  return v;
+}
+[[nodiscard]] inline double load_f64_le(const char* p) {
+  return std::bit_cast<double>(load_u64_le(p));
+}
 
 /// Bounds-checked little-endian cursor over an in-memory image.  Every
 /// read throws ParseError("<context> is truncated") instead of running

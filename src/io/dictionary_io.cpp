@@ -1,6 +1,6 @@
 #include "io/dictionary_io.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -117,23 +117,6 @@ BinaryDictionaryHeader parse_header(ByteReader& reader,
   return header;
 }
 
-/// Little-endian f64 at a byte offset whose bounds were already validated
-/// by parse_binary_dictionary_layout.  memcpy keeps it legal for any
-/// alignment; the byte swap is compiled out on little-endian hosts.
-double load_f64_at(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&v, bytes.data() + at, 8);
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[at + i]))
-           << (8 * i);
-    }
-  }
-  return std::bit_cast<double>(v);
-}
-
 }  // namespace
 
 DictionaryFormat parse_dictionary_format(const std::string& name) {
@@ -177,12 +160,12 @@ faults::FaultDictionary load_dictionary(const std::string& text) {
   // first appearance.
   struct Series {
     faults::ParametricFault fault;
-    bool is_golden = false;
-    std::vector<double> freqs;
-    std::vector<mna::Complex> values;
+    std::vector<double> freqs, re, im;
   };
   std::vector<Series> series;
   std::map<std::string, std::size_t> index;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t golden = kNone;
 
   for (const auto& row : table.rows) {
     if (row.size() != table.header.size()) {
@@ -194,7 +177,8 @@ faults::FaultDictionary load_dictionary(const std::string& text) {
     if (it == index.end()) {
       Series s;
       if (row[c_site].empty()) {
-        s.is_golden = true;
+        if (golden != kNone) throw ParseError("duplicate golden series");
+        golden = series.size();
       } else if (row[c_target] == kValueTarget) {
         s.fault.site = faults::FaultSite::value_of(row[c_site]);
         s.fault.deviation = units::parse(row[c_dev]);
@@ -211,25 +195,33 @@ faults::FaultDictionary load_dictionary(const std::string& text) {
     }
     Series& s = series[it->second];
     s.freqs.push_back(units::parse(row[c_freq]));
-    s.values.emplace_back(units::parse(row[c_re]), units::parse(row[c_im]));
+    s.re.push_back(units::parse(row[c_re]));
+    s.im.push_back(units::parse(row[c_im]));
+  }
+  if (golden == kNone) throw ParseError("dictionary file has no golden series");
+  const std::vector<double>& grid = series[golden].freqs;
+  if (!mna::is_valid_grid(grid)) {
+    throw ParseError("dictionary frequencies are not finite and ascending");
   }
 
-  mna::AcResponse golden;
-  std::vector<faults::DictionaryEntry> entries;
-  bool have_golden = false;
-  for (auto& s : series) {
-    mna::AcResponse response(std::move(s.freqs), std::move(s.values));
-    if (s.is_golden) {
-      if (have_golden) throw ParseError("duplicate golden series");
-      golden = std::move(response);
-      have_golden = true;
-    } else {
-      entries.push_back({s.fault, std::move(response)});
+  // One block: the golden in row 0, the entries in file order after it.
+  auto planes = std::make_shared<mna::ResponsePlanes>(grid, series.size());
+  std::vector<faults::ParametricFault> faults;
+  for (std::size_t k = 0; k < series.size(); ++k) {
+    const Series& s = series[k];
+    if (k != golden) {
+      if (s.freqs != grid) {
+        throw ConfigError("dictionary entry '" + s.fault.label() +
+                          "' is not on the golden frequency grid");
+      }
+      faults.push_back(s.fault);
     }
+    const std::size_t row = k == golden ? 0 : faults.size();
+    std::copy(s.re.begin(), s.re.end(), planes->row_re(row));
+    std::copy(s.im.begin(), s.im.end(), planes->row_im(row));
   }
-  if (!have_golden) throw ParseError("dictionary file has no golden series");
-  return faults::FaultDictionary::from_parts(std::move(golden),
-                                             std::move(entries));
+  return faults::FaultDictionary::assemble(std::move(faults),
+                                           std::move(planes));
 }
 
 // --------------------------------------------------------------- binary
@@ -270,12 +262,17 @@ void save_dictionary_binary(std::ostream& os,
   for (double f : freqs) put_f64(out, f);
   seal_block(out, begin);
 
-  // Block 2: the golden response values.
+  // Block 2: the golden response values, as (re, im) pairs.
+  auto put_row = [&](const mna::AcResponse& response) {
+    const auto re = response.reals();
+    const auto im = response.imags();
+    for (std::size_t i = 0; i < re.size(); ++i) {
+      put_f64(out, re[i]);
+      put_f64(out, im[i]);
+    }
+  };
   begin = out.size();
-  for (const auto& v : dictionary.golden().values()) {
-    put_f64(out, v.real());
-    put_f64(out, v.imag());
-  }
+  put_row(dictionary.golden());
   seal_block(out, begin);
 
   // Block 3: the fault list (site + deviation per entry, in entry order).
@@ -296,12 +293,7 @@ void save_dictionary_binary(std::ostream& os,
   // Block 4: every faulty response, one contiguous little-endian run of
   // (re, im) pairs in entry-major order.
   begin = out.size();
-  for (const auto& entry : entries) {
-    for (const auto& v : entry.response.values()) {
-      put_f64(out, v.real());
-      put_f64(out, v.imag());
-    }
-  }
+  for (const auto& entry : entries) put_row(entry.response);
   seal_block(out, begin);
 
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
@@ -380,46 +372,44 @@ BinaryDictionaryLayout parse_binary_dictionary_layout(std::string_view bytes,
   reader.require(16 * n_freqs * n_entries + 8, "response block");
   (void)reader.need(16 * n_freqs * n_entries);
   finish_block(layout.responses_offset, "response");
-  layout.end_offset = reader.position();
-
-  layout.runs_aligned = (layout.frequencies_offset % 8 == 0) &&
-                        (layout.golden_offset % 8 == 0) &&
-                        (layout.responses_offset % 8 == 0);
   return layout;
 }
 
-faults::FaultDictionary load_dictionary_binary(std::string_view bytes) {
-  BinaryDictionaryLayout layout = parse_binary_dictionary_layout(bytes);
+faults::FaultDictionary decode_binary_dictionary(
+    std::string_view bytes, BinaryDictionaryLayout layout) {
   const std::size_t n_freqs = layout.header.frequency_count;
-  const std::size_t n_entries = layout.header.fault_count;
-
   std::vector<double> freqs(n_freqs);
   for (std::size_t i = 0; i < n_freqs; ++i) {
-    freqs[i] = load_f64_at(bytes, layout.frequencies_offset + 8 * i);
+    freqs[i] = load_f64_le(bytes.data() + layout.frequencies_offset + 8 * i);
+  }
+  if (!mna::is_valid_grid(freqs)) {
+    throw ParseError(
+        "binary dictionary frequencies are not finite and ascending");
   }
 
-  std::vector<mna::Complex> golden_values(n_freqs);
-  for (std::size_t i = 0; i < n_freqs; ++i) {
-    golden_values[i] = {load_f64_at(bytes, layout.golden_offset + 16 * i),
-                        load_f64_at(bytes, layout.golden_offset + 16 * i + 8)};
-  }
-
-  std::vector<faults::DictionaryEntry> entries;
-  entries.reserve(n_entries);
-  for (std::size_t e = 0; e < n_entries; ++e) {
-    const std::size_t run = layout.responses_offset + 16 * n_freqs * e;
-    std::vector<mna::Complex> values(n_freqs);
-    for (std::size_t i = 0; i < n_freqs; ++i) {
-      values[i] = {load_f64_at(bytes, run + 16 * i),
-                   load_f64_at(bytes, run + 16 * i + 8)};
+  // The golden run fills row 0 and the response run rows 1.., each an
+  // interleaved (re, im) run split into the two planes.
+  auto planes = std::make_shared<mna::ResponsePlanes>(
+      std::move(freqs), 1 + layout.header.fault_count);
+  auto decode_rows = [&](std::size_t first_row, std::size_t offset,
+                         std::size_t rows) {
+    const char* run = bytes.data() + offset;
+    double* re = planes->row_re(first_row);
+    double* im = planes->row_im(first_row);
+    for (std::size_t i = 0; i < rows * n_freqs; ++i) {
+      re[i] = load_f64_le(run + 16 * i);
+      im[i] = load_f64_le(run + 16 * i + 8);
     }
-    entries.push_back(
-        {layout.faults[e], mna::AcResponse(freqs, std::move(values))});
-  }
+  };
+  decode_rows(0, layout.golden_offset, 1);
+  decode_rows(1, layout.responses_offset, layout.header.fault_count);
+  return faults::FaultDictionary::assemble(std::move(layout.faults),
+                                           std::move(planes));
+}
 
-  return faults::FaultDictionary::from_parts(
-      mna::AcResponse(std::move(freqs), std::move(golden_values)),
-      std::move(entries));
+faults::FaultDictionary load_dictionary_binary(std::string_view bytes) {
+  return decode_binary_dictionary(bytes,
+                                  parse_binary_dictionary_layout(bytes));
 }
 
 // ----------------------------------------------------------------- files

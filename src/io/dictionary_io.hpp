@@ -17,10 +17,11 @@
 /// ```
 ///
 /// **Binary `.fdx`** — the serving format: magic + version + metadata +
-/// checksummed little-endian blocks, loaded with one contiguous read per
-/// block straight into the FaultDictionary layout (see
-/// src/service/README.md for the full spec).  ~10-100x faster to load than
-/// the CSV and byte-stable across platforms.
+/// checksummed little-endian blocks (see src/service/README.md for the
+/// full spec).  The blocks hold interleaved (re, im) pairs; loading
+/// decodes them once into the dictionary's private SoA block (one copy
+/// of every sample).  ~10-100x faster to load than the CSV and
+/// byte-stable across platforms.
 ///
 /// `load_dictionary_file` auto-detects the format by magic bytes, so both
 /// kinds load through one entry point.
@@ -88,17 +89,13 @@ struct BinaryDictionaryHeader {
 
 /// Structural map of a validated `.fdx` image: where each contiguous
 /// little-endian data run starts, plus the decoded (small) fault list.
-/// Shared by the copying loader and the zero-copy io::DictionaryView, so
-/// both paths validate identically.
+/// Shared by load_dictionary_binary and io::DictionaryView, so both paths
+/// validate identically.
 struct BinaryDictionaryLayout {
   BinaryDictionaryHeader header;
   std::size_t frequencies_offset = 0;  ///< n_freqs x f64
   std::size_t golden_offset = 0;       ///< n_freqs x (re, im)
   std::size_t responses_offset = 0;    ///< n_entries x n_freqs x (re, im)
-  std::size_t end_offset = 0;          ///< one past the last block
-  /// Every f64 run starts 8-byte aligned within the image (guaranteed by
-  /// the v2 writer's padding; false for v1 files with odd-length keys).
-  bool runs_aligned = false;
   std::vector<faults::ParametricFault> faults;  ///< block 3, decoded
 };
 
@@ -113,11 +110,20 @@ void save_dictionary_binary(std::ostream& os,
                             const std::string& key = "");
 
 /// Parse a `.fdx` image.  \throws ParseError on bad magic, an unsupported
-/// version or feature flag, a truncated block or a checksum mismatch.
-/// Every block's size is validated against the remaining image bytes
-/// *before* anything is allocated from its counts.
+/// version or feature flag, a truncated block, a checksum mismatch or a
+/// frequency grid that is not finite and ascending.  Every block's size
+/// is validated against the remaining image bytes *before* anything is
+/// allocated from its counts.
 [[nodiscard]] faults::FaultDictionary load_dictionary_binary(
     std::string_view bytes);
+
+/// Decode the data runs of an image already walked by
+/// parse_binary_dictionary_layout into a dictionary: the one `.fdx`
+/// decoder behind load_dictionary_binary and DictionaryView::materialize.
+/// Reads any alignment and host byte order.  \throws ParseError when the
+/// frequency grid is not finite and ascending.
+[[nodiscard]] faults::FaultDictionary decode_binary_dictionary(
+    std::string_view bytes, BinaryDictionaryLayout layout);
 
 /// Parse only the header of a `.fdx` image.  \throws ParseError as above.
 [[nodiscard]] BinaryDictionaryHeader read_binary_dictionary_header(

@@ -55,7 +55,10 @@ mna::AcResponse load_measurement_csv(const std::string& text) {
     values.emplace_back(units::parse(row[c_re]), units::parse(row[c_im]));
   }
   if (freqs.empty()) throw ParseError("measurement file has no samples");
-  return mna::AcResponse(std::move(freqs), std::move(values));
+  if (!mna::is_valid_grid(freqs)) {
+    throw ParseError("measurement frequencies are not finite and ascending");
+  }
+  return mna::AcResponse(std::move(freqs), values);
 }
 
 mna::AcResponse load_measurement_csv_file(const std::string& path) {

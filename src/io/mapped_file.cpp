@@ -2,9 +2,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 
+#include "io/binary.hpp"
 #include "util/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -90,15 +90,6 @@ bool can_alias(const void* base, std::size_t offset) {
   return (reinterpret_cast<std::uintptr_t>(base) + offset) % 8 == 0;
 }
 
-double decode_f64(std::string_view bytes, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
-         << (8 * i);
-  }
-  return std::bit_cast<double>(v);
-}
-
 }  // namespace
 
 DictionaryView DictionaryView::map(const std::string& path,
@@ -121,92 +112,65 @@ DictionaryView DictionaryView::finish(std::shared_ptr<State> state,
   state->layout = parse_binary_dictionary_layout(bytes, verify_checksums);
   const auto& layout = state->layout;
 
+  // The v2 writer 8-byte aligns every run; a v1 image with an odd-length
+  // key does not.
   state->zero_copy =
-      layout.runs_aligned && can_alias(bytes.data(), 0) &&
       can_alias(bytes.data(), layout.frequencies_offset) &&
       can_alias(bytes.data(), layout.golden_offset) &&
       can_alias(bytes.data(), layout.responses_offset);
 
-  if (!state->zero_copy) {
-    // Decode once into private buffers; the span API is unchanged.
-    const std::size_t n_freqs = layout.header.frequency_count;
-    const std::size_t n_entries = layout.header.fault_count;
+  const std::size_t n_freqs = layout.header.frequency_count;
+  const std::size_t n_values = n_freqs * (1 + layout.header.fault_count);
+  if (state->zero_copy) {
+    state->frequencies = reinterpret_cast<const double*>(
+        bytes.data() + layout.frequencies_offset);
+    state->golden = reinterpret_cast<const mna::Complex*>(
+        bytes.data() + layout.golden_offset);
+    state->responses = reinterpret_cast<const mna::Complex*>(
+        bytes.data() + layout.responses_offset);
+  } else {
+    // Decode the runs once into private buffers (golden then responses);
+    // the span API is unchanged.  std::complex<double> is layout-
+    // compatible with double[2], so a run of (re, im) pairs decodes as
+    // doubles.
     state->decoded_frequencies.resize(n_freqs);
-    for (std::size_t i = 0; i < n_freqs; ++i) {
-      state->decoded_frequencies[i] =
-          decode_f64(bytes, layout.frequencies_offset + 8 * i);
-    }
-    state->decoded_values.resize(n_freqs * (1 + n_entries));
-    for (std::size_t i = 0; i < n_freqs; ++i) {
-      state->decoded_values[i] = {
-          decode_f64(bytes, layout.golden_offset + 16 * i),
-          decode_f64(bytes, layout.golden_offset + 16 * i + 8)};
-    }
-    for (std::size_t e = 0; e < n_entries; ++e) {
-      const std::size_t run = layout.responses_offset + 16 * n_freqs * e;
-      for (std::size_t i = 0; i < n_freqs; ++i) {
-        state->decoded_values[n_freqs * (1 + e) + i] = {
-            decode_f64(bytes, run + 16 * i),
-            decode_f64(bytes, run + 16 * i + 8)};
+    state->decoded_values.resize(n_values);
+    auto decode_run = [&](std::size_t offset, std::size_t count,
+                          double* out) {
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = load_f64_le(bytes.data() + offset + 8 * i);
       }
-    }
+    };
+    double* values = reinterpret_cast<double*>(state->decoded_values.data());
+    decode_run(layout.frequencies_offset, n_freqs,
+               state->decoded_frequencies.data());
+    decode_run(layout.golden_offset, 2 * n_freqs, values);
+    decode_run(layout.responses_offset, 2 * (n_values - n_freqs),
+               values + 2 * n_freqs);
+    state->frequencies = state->decoded_frequencies.data();
+    state->golden = state->decoded_values.data();
+    state->responses = state->decoded_values.data() + n_freqs;
   }
   return DictionaryView(std::move(state));
 }
 
 std::span<const double> DictionaryView::frequencies() const {
-  const auto& layout = state_->layout;
-  if (!state_->zero_copy) {
-    return state_->decoded_frequencies;
-  }
-  return {reinterpret_cast<const double*>(state_->bytes().data() +
-                                          layout.frequencies_offset),
-          layout.header.frequency_count};
+  return {state_->frequencies, frequency_count()};
 }
 
 std::span<const mna::Complex> DictionaryView::golden() const {
-  const auto& layout = state_->layout;
-  if (!state_->zero_copy) {
-    return {state_->decoded_values.data(), layout.header.frequency_count};
-  }
-  return {reinterpret_cast<const mna::Complex*>(state_->bytes().data() +
-                                                layout.golden_offset),
-          layout.header.frequency_count};
+  return {state_->golden, frequency_count()};
 }
 
 std::span<const mna::Complex> DictionaryView::response(
     std::size_t entry) const {
-  const auto& layout = state_->layout;
-  FTDIAG_ASSERT(entry < layout.header.fault_count,
+  FTDIAG_ASSERT(entry < fault_count(),
                 "dictionary view entry index out of range");
-  const std::size_t n_freqs = layout.header.frequency_count;
-  if (!state_->zero_copy) {
-    return {state_->decoded_values.data() + n_freqs * (1 + entry), n_freqs};
-  }
-  return {reinterpret_cast<const mna::Complex*>(
-              state_->bytes().data() + layout.responses_offset +
-              16 * n_freqs * entry),
-          n_freqs};
+  return {state_->responses + frequency_count() * entry, frequency_count()};
 }
 
 faults::FaultDictionary DictionaryView::materialize() const {
-  const auto freqs_span = frequencies();
-  std::vector<double> freqs(freqs_span.begin(), freqs_span.end());
-  const auto golden_span = golden();
-  std::vector<mna::Complex> golden_values(golden_span.begin(),
-                                          golden_span.end());
-  std::vector<faults::DictionaryEntry> entries;
-  entries.reserve(fault_count());
-  for (std::size_t e = 0; e < fault_count(); ++e) {
-    const auto values_span = response(e);
-    entries.push_back(
-        {state_->layout.faults[e],
-         mna::AcResponse(freqs, std::vector<mna::Complex>(
-                                    values_span.begin(), values_span.end()))});
-  }
-  return faults::FaultDictionary::from_parts(
-      mna::AcResponse(std::move(freqs), std::move(golden_values)),
-      std::move(entries));
+  return decode_binary_dictionary(state_->bytes(), state_->layout);
 }
 
 }  // namespace ftdiag::io

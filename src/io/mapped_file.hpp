@@ -3,19 +3,20 @@
 ///
 /// The `.fdx` format stores its bulk data (frequency grid, golden and
 /// faulty responses) as contiguous little-endian f64 runs that the v2
-/// writer 8-byte aligns.  Mapping the file therefore lets a server
-/// *attach* to a dictionary instead of parsing it: `DictionaryView`
-/// validates the image once and then serves signature data as in-place
-/// `std::span` views over the mapped pages.  Warm attaches cost
-/// microseconds (no per-value decode, no per-entry vectors), and because
-/// the kernel page cache backs the mapping, every server process on the
-/// machine shares one physical copy of each dictionary.
+/// writer 8-byte aligns.  Mapping the file lets `DictionaryView` validate
+/// the image once and serve its runs as in-place `std::span` views over
+/// the mapped pages: no per-value decode, no per-entry vectors.
+///
+/// Diagnosis does not run off those pages: `materialize()` (what
+/// DictionaryStore calls on a disk hit) decodes the runs into a
+/// FaultDictionary's private SoA block, so each process holds its own
+/// copy of every dictionary it serves.  Sharing pages across processes
+/// needs a format whose blocks are the SoA planes themselves.
 ///
 /// On platforms without mmap (or for pathological files — v1 images with
-/// unaligned runs, big-endian hosts) everything transparently falls back
-/// to the buffered read path; `DictionaryView::zero_copy()` reports which
-/// mode a view runs in, and `materialize()` always produces a classic
-/// FaultDictionary bit-identical to io::load_dictionary_binary.
+/// unaligned runs, big-endian hosts) the view decodes its runs into
+/// private buffers instead; `DictionaryView::zero_copy()` reports which
+/// mode a view runs in.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +35,8 @@ namespace ftdiag::io {
 [[nodiscard]] bool mmap_supported();
 
 /// An immutable byte view of a whole file.  With mmap support the bytes
-/// are the kernel's page cache (shared across processes, ~0 copies); on
-/// the fallback they are a private heap buffer.  Move-only RAII.
+/// are the kernel's page cache (no read copy); on the fallback they are a
+/// private heap buffer.  Move-only RAII.
 class MappedFile {
 public:
   /// Map (or read) \p path.  \throws ParseError when the file cannot be
@@ -107,8 +108,10 @@ public:
   [[nodiscard]] std::span<const mna::Complex> response(
       std::size_t entry) const;
 
-  /// Copy out a classic FaultDictionary, bit-identical to
-  /// load_dictionary_binary on the same image.
+  /// Decode a FaultDictionary (its own SoA block; the view may go away),
+  /// bit-identical to load_dictionary_binary on the same image.
+  /// \throws ParseError when the frequency grid is not finite and
+  /// ascending.
   [[nodiscard]] faults::FaultDictionary materialize() const;
 
 private:
@@ -117,9 +120,13 @@ private:
     std::string owned_bytes;  ///< when constructed via over()
     BinaryDictionaryLayout layout;
     bool zero_copy = false;
-    /// Decoded doubles for the fallback path (empty when zero_copy).
+    /// Decoded runs for the fallback path (empty when zero_copy).
     std::vector<double> decoded_frequencies;
     std::vector<mna::Complex> decoded_values;  ///< golden then responses
+    /// Where the spans point: into the image, or into the decoded runs.
+    const double* frequencies = nullptr;
+    const mna::Complex* golden = nullptr;
+    const mna::Complex* responses = nullptr;
     [[nodiscard]] std::string_view bytes() const {
       return file.size() > 0 ? file.bytes() : std::string_view(owned_bytes);
     }

@@ -48,6 +48,10 @@
 #endif
 #endif
 
+#if FTDIAG_SIMD_NATIVE && defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 #ifndef FTDIAG_SIMD_NATIVE
 #define FTDIAG_SIMD_NATIVE 0
 #endif
@@ -223,7 +227,16 @@ struct NativePack {
 };
 
 [[nodiscard]] inline NativePack sqrt(NativePack a) {
+#if defined(__AVX512F__)
+  // The native pack is 8 doubles here, and GCC 12's stdx::sqrt on it goes
+  // through _mm512_undefined_pd, whose self-initialisation trips
+  // -Wmaybe-uninitialized.  The zero-mask form is the same correctly
+  // rounded sqrt.
+  return {NativePack::Simd(
+      _mm512_maskz_sqrt_pd(0xFF, static_cast<__m512d>(a.v)))};
+#else
   return {stdx::sqrt(a.v)};
+#endif
 }
 [[nodiscard]] inline NativePack min(NativePack a, NativePack b) {
   return {stdx::min(a.v, b.v)};

@@ -60,15 +60,21 @@ AcResponse AcAnalysis::sweep(const FrequencyGrid& grid,
 
 AcResponse AcAnalysis::sweep(const std::vector<double>& frequencies_hz,
                              const std::string& node) const {
+  auto block = std::make_shared<ResponsePlanes>(frequencies_hz, 1);
+  sweep_into(frequencies_hz, node, block->row_re(0), block->row_im(0));
+  return AcResponse(std::move(block), 0);
+}
+
+void AcAnalysis::sweep_into(const std::vector<double>& frequencies_hz,
+                            const std::string& node, double* re,
+                            double* im) const {
   FTDIAG_ASSERT(std::is_sorted(frequencies_hz.begin(), frequencies_hz.end()),
                 "sweep frequencies must ascend");
-  const std::size_t n = system_.unknown_count();
   const std::size_t unknown = system_.node_unknown(node);
-  std::vector<Complex> values;
-  values.reserve(frequencies_hz.size());
   if (unknown == kNoUnknown) {
-    values.assign(frequencies_hz.size(), Complex{});
-    return AcResponse(frequencies_hz, std::move(values));
+    std::fill_n(re, frequencies_hz.size(), 0.0);
+    std::fill_n(im, frequencies_hz.size(), 0.0);
+    return;
   }
   // One solver for the whole grid: on the dense backend the matrix buffer
   // ping-pongs between the assembler and the factorization, on the sparse
@@ -76,13 +82,13 @@ AcResponse AcAnalysis::sweep(const std::vector<double>& frequencies_hz,
   // the steady-state loop allocates nothing.  Operation-for-operation each
   // point is solve(), which keeps sweeps bit-identical to point solves.
   SweepSolver solver(assembler_, context_);
-  std::vector<Complex> x(n);
-  for (double f : frequencies_hz) {
-    solver.factor(linalg::s_of_hz(f));
+  std::vector<Complex> x(system_.unknown_count());
+  for (std::size_t i = 0; i < frequencies_hz.size(); ++i) {
+    solver.factor(linalg::s_of_hz(frequencies_hz[i]));
     solver.solve_into(assembler_.rhs(), x);
-    values.push_back(x[unknown]);
+    re[i] = x[unknown].real();
+    im[i] = x[unknown].imag();
   }
-  return AcResponse(frequencies_hz, std::move(values));
 }
 
 }  // namespace ftdiag::mna

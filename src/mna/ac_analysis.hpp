@@ -43,6 +43,11 @@ public:
   [[nodiscard]] AcResponse sweep(const std::vector<double>& frequencies_hz,
                                  const std::string& node) const;
 
+  /// The same sweep, written into caller-owned planes of
+  /// frequencies_hz.size() doubles (e.g. a row of a ResponsePlanes block).
+  void sweep_into(const std::vector<double>& frequencies_hz,
+                  const std::string& node, double* re, double* im) const;
+
   [[nodiscard]] const MnaSystem& system() const { return system_; }
 
   /// The shared G + s*C split (immutable; safe to use from any number of

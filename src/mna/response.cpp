@@ -7,63 +7,79 @@
 
 namespace ftdiag::mna {
 
-AcResponse::AcResponse(std::vector<double> frequencies_hz,
-                       std::vector<Complex> values)
-    : freq_hz_(std::move(frequencies_hz)), values_(std::move(values)) {
-  FTDIAG_ASSERT(freq_hz_.size() == values_.size(),
-                "response frequency/value length mismatch");
-  FTDIAG_ASSERT(std::is_sorted(freq_hz_.begin(), freq_hz_.end()),
-                "response frequencies must ascend");
-  re_.resize(values_.size());
-  im_.resize(values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    re_[i] = values_[i].real();
-    im_[i] = values_[i].imag();
+bool is_valid_grid(std::span<const double> frequencies_hz) {
+  for (std::size_t i = 0; i < frequencies_hz.size(); ++i) {
+    if (!std::isfinite(frequencies_hz[i])) return false;
+    if (i > 0 && frequencies_hz[i] < frequencies_hz[i - 1]) return false;
   }
+  return true;
 }
 
-AcResponse::AcResponse(std::vector<double> frequencies_hz,
-                       linalg::simd::AlignedVector re,
-                       linalg::simd::AlignedVector im)
-    : freq_hz_(std::move(frequencies_hz)),
-      re_(std::move(re)),
-      im_(std::move(im)) {
-  FTDIAG_ASSERT(freq_hz_.size() == re_.size() && re_.size() == im_.size(),
-                "response frequency/plane length mismatch");
-  FTDIAG_ASSERT(std::is_sorted(freq_hz_.begin(), freq_hz_.end()),
+ResponsePlanes::ResponsePlanes(std::vector<double> frequencies_hz,
+                               std::size_t row_count)
+    : frequencies(std::move(frequencies_hz)),
+      rows(row_count),
+      re(row_count * frequencies.size()),
+      im(row_count * frequencies.size()) {
+  FTDIAG_ASSERT(std::is_sorted(frequencies.begin(), frequencies.end()),
                 "response frequencies must ascend");
-  values_.resize(re_.size());
-  for (std::size_t i = 0; i < re_.size(); ++i) {
-    values_[i] = Complex(re_[i], im_[i]);
+}
+
+const std::vector<double> AcResponse::kNoGrid;
+
+AcResponse::AcResponse(std::vector<double> frequencies_hz,
+                       const std::vector<Complex>& values) {
+  FTDIAG_ASSERT(frequencies_hz.size() == values.size(),
+                "response frequency/value length mismatch");
+  auto block = std::make_shared<ResponsePlanes>(std::move(frequencies_hz), 1);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    block->re[i] = values[i].real();
+    block->im[i] = values[i].imag();
   }
+  *this = AcResponse(std::move(block), 0);
+}
+
+AcResponse::AcResponse(std::shared_ptr<const ResponsePlanes> block,
+                       std::size_t row)
+    : block_(std::move(block)) {
+  FTDIAG_ASSERT(block_ && row < block_->rows, "response row out of range");
+  re_ = block_->re.data() + row * block_->grid();
+  im_ = block_->im.data() + row * block_->grid();
+}
+
+std::vector<Complex> AcResponse::values() const {
+  std::vector<Complex> out(size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = value(i);
+  return out;
 }
 
 double AcResponse::magnitude(std::size_t i) const {
-  return std::abs(values_[i]);
+  return std::abs(value(i));
 }
 
 double AcResponse::magnitude_db(std::size_t i) const {
-  return linalg::to_db(values_[i]);
+  return linalg::to_db(value(i));
 }
 
 double AcResponse::phase_deg(std::size_t i) const {
-  return linalg::phase_deg(values_[i]);
+  return linalg::phase_deg(value(i));
 }
 
 AcResponse::GridPosition AcResponse::locate(double frequency_hz) const {
   if (empty()) throw NumericError("interpolation on an empty response");
-  if (frequency_hz <= freq_hz_.front()) return {0, 0, 0.0};
-  if (frequency_hz >= freq_hz_.back()) {
-    return {freq_hz_.size() - 1, freq_hz_.size() - 1, 0.0};
+  const std::vector<double>& freq_hz = frequencies();
+  if (frequency_hz <= freq_hz.front()) return {0, 0, 0.0};
+  if (frequency_hz >= freq_hz.back()) {
+    return {freq_hz.size() - 1, freq_hz.size() - 1, 0.0};
   }
 
   const auto upper =
-      std::upper_bound(freq_hz_.begin(), freq_hz_.end(), frequency_hz);
-  const std::size_t hi = static_cast<std::size_t>(upper - freq_hz_.begin());
+      std::upper_bound(freq_hz.begin(), freq_hz.end(), frequency_hz);
+  const std::size_t hi = static_cast<std::size_t>(upper - freq_hz.begin());
   const std::size_t lo = hi - 1;
 
-  const double f_lo = freq_hz_[lo];
-  const double f_hi = freq_hz_[hi];
+  const double f_lo = freq_hz[lo];
+  const double f_hi = freq_hz[hi];
   // Interpolation parameter in log-frequency (grids are log-spaced); guard
   // against non-positive frequencies on linear grids.
   double t;
@@ -82,11 +98,11 @@ Complex AcResponse::interpolate(double frequency_hz) const {
 
 Complex AcResponse::interpolate(const GridPosition& position) const {
   if (empty()) throw NumericError("interpolation on an empty response");
-  if (position.lo == position.hi) return values_[position.lo];
+  if (position.lo == position.hi) return value(position.lo);
   const double t = position.t;
 
-  const Complex a = values_[position.lo];
-  const Complex b = values_[position.hi];
+  const Complex a = value(position.lo);
+  const Complex b = value(position.hi);
   const double mag_a = std::abs(a);
   const double mag_b = std::abs(b);
   // Magnitude: geometric interpolation when both are positive (straight
@@ -116,12 +132,12 @@ double AcResponse::magnitude_db_at(double frequency_hz) const {
 }
 
 double AcResponse::max_deviation(const AcResponse& other) const {
-  if (freq_hz_ != other.freq_hz_) {
+  if (frequencies() != other.frequencies()) {
     throw NumericError("max_deviation requires identical frequency grids");
   }
   double max_dev = 0.0;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    max_dev = std::max(max_dev, std::abs(values_[i] - other.values_[i]));
+  for (std::size_t i = 0; i < size(); ++i) {
+    max_dev = std::max(max_dev, std::abs(value(i) - other.value(i)));
   }
   return max_dev;
 }
@@ -129,8 +145,8 @@ double AcResponse::max_deviation(const AcResponse& other) const {
 std::size_t AcResponse::peak_index() const {
   FTDIAG_ASSERT(!empty(), "peak of an empty response");
   std::size_t best = 0;
-  for (std::size_t i = 1; i < values_.size(); ++i) {
-    if (std::abs(values_[i]) > std::abs(values_[best])) best = i;
+  for (std::size_t i = 1; i < size(); ++i) {
+    if (std::abs(value(i)) > std::abs(value(best))) best = i;
   }
   return best;
 }

@@ -7,8 +7,9 @@
 /// interpolation, so the dictionary does not need to be rebuilt per GA step.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "linalg/complex_utils.hpp"
@@ -18,38 +19,70 @@ namespace ftdiag::mna {
 
 using linalg::Complex;
 
-/// Complex response samples over an ascending frequency grid.
-///
-/// Storage is structure-of-arrays: contiguous 64-byte-aligned re/im
-/// planes (frequency-major), which is what the SIMD sweep and scoring
-/// kernels read and what the simulation engine writes pack-at-a-time.
-/// The interleaved values() vector is kept alongside as the API/wire
-/// view (serialization, interpolation and every legacy caller); both
-/// views always hold identical values.
+/// True when every frequency is finite and the grid never descends.
+/// ResponsePlanes asserts the order; parsers of untrusted input check
+/// this first and throw ParseError instead.
+[[nodiscard]] bool is_valid_grid(std::span<const double> frequencies_hz);
+
+/// Complex responses on one shared ascending grid, stored once as
+/// 64-byte-aligned row-major re/im planes: row r is [r * grid(),
+/// (r + 1) * grid()) of each.  The SIMD sweep writes this layout and the
+/// scoring kernels read it.  Producers fill a block, then publish it as
+/// std::shared_ptr<const ResponsePlanes>; AcResponse is a row of it.
+struct ResponsePlanes {
+  /// A zero-filled block of \p rows responses on \p frequencies_hz, which
+  /// must ascend (asserted).
+  ResponsePlanes(std::vector<double> frequencies_hz, std::size_t rows);
+
+  std::vector<double> frequencies;      ///< the shared grid, ascending
+  std::size_t rows = 0;
+  linalg::simd::AlignedVector re, im;   ///< rows * grid()
+
+  [[nodiscard]] std::size_t grid() const { return frequencies.size(); }
+  [[nodiscard]] double* row_re(std::size_t r) { return re.data() + r * grid(); }
+  [[nodiscard]] double* row_im(std::size_t r) { return im.data() + r * grid(); }
+};
+
+/// Complex response samples over an ascending frequency grid: one
+/// immutable row of a shared ResponsePlanes block.  A standalone response
+/// is a one-row block, a copy shares the block (a reference-count bump),
+/// and a response keeps its block alive, so a dictionary entry's response
+/// may outlive the dictionary.
 class AcResponse {
 public:
   AcResponse() = default;
-  AcResponse(std::vector<double> frequencies_hz, std::vector<Complex> values);
 
-  /// Build directly from split re/im planes (the engine's native output —
-  /// no interleave round-trip on the hot path's side).
+  /// A one-row block.  Asserts equal lengths and an ascending grid.
   AcResponse(std::vector<double> frequencies_hz,
-             linalg::simd::AlignedVector re, linalg::simd::AlignedVector im);
+             const std::vector<Complex>& values);
 
-  [[nodiscard]] std::size_t size() const { return freq_hz_.size(); }
-  [[nodiscard]] bool empty() const { return freq_hz_.empty(); }
+  /// Row \p row of \p block.
+  AcResponse(std::shared_ptr<const ResponsePlanes> block, std::size_t row);
+
+  [[nodiscard]] std::size_t size() const { return frequencies().size(); }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
   [[nodiscard]] const std::vector<double>& frequencies() const {
-    return freq_hz_;
+    return block_ ? block_->frequencies : kNoGrid;
   }
-  [[nodiscard]] const std::vector<Complex>& values() const { return values_; }
 
-  /// The SoA planes: re/im of the sample at grid index i, 64-byte aligned.
-  [[nodiscard]] std::span<const double> reals() const { return re_; }
-  [[nodiscard]] std::span<const double> imags() const { return im_; }
+  /// The row's re/im planes (the rows of a block follow each other with
+  /// no padding).
+  [[nodiscard]] std::span<const double> reals() const { return {re_, size()}; }
+  [[nodiscard]] std::span<const double> imags() const { return {im_, size()}; }
 
-  [[nodiscard]] double frequency(std::size_t i) const { return freq_hz_[i]; }
-  [[nodiscard]] const Complex& value(std::size_t i) const { return values_[i]; }
+  [[nodiscard]] double frequency(std::size_t i) const {
+    return block_->frequencies[i];
+  }
+  [[nodiscard]] Complex value(std::size_t i) const { return {re_[i], im_[i]}; }
+
+  /// The samples interleaved, as a copy.
+  [[nodiscard]] std::vector<Complex> values() const;
+
+  /// The block this response is a row of (null when empty).
+  [[nodiscard]] const std::shared_ptr<const ResponsePlanes>& block() const {
+    return block_;
+  }
 
   /// Linear magnitude at grid index i.
   [[nodiscard]] double magnitude(std::size_t i) const;
@@ -98,9 +131,11 @@ public:
   [[nodiscard]] std::size_t peak_index() const;
 
 private:
-  std::vector<double> freq_hz_;
-  std::vector<Complex> values_;          ///< interleaved API/wire view
-  linalg::simd::AlignedVector re_, im_;  ///< SoA planes (kernel view)
+  static const std::vector<double> kNoGrid;
+
+  std::shared_ptr<const ResponsePlanes> block_;
+  const double* re_ = nullptr;  ///< the row in block_->re
+  const double* im_ = nullptr;
 };
 
 }  // namespace ftdiag::mna

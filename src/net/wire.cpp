@@ -55,7 +55,11 @@ mna::AcResponse get_response(ByteReader& reader) {
     const double im = reader.get_f64();
     values[i] = {re, im};
   }
-  return mna::AcResponse(std::move(freqs), std::move(values));
+  if (!mna::is_valid_grid(freqs)) {
+    throw ParseError(
+        "measured response frequencies are not finite and ascending");
+  }
+  return mna::AcResponse(std::move(freqs), values);
 }
 
 }  // namespace

@@ -143,7 +143,11 @@ std::string render_json(const Snapshot& snapshot) {
     for (const auto& [k, v] : s.labels) {
       if (!first_label) out += ",";
       first_label = false;
-      out += "\"" + escape(k) + "\":\"" + escape(v) + "\"";
+      out += '"';
+      out += escape(k);
+      out += "\":\"";
+      out += escape(v);
+      out += '"';
     }
     out += "}";
     if (s.kind == Sample::Kind::kHistogram) {

@@ -211,8 +211,9 @@ DictionaryPtr DictionaryStore::load_or_build(
   if (!path.empty() && std::filesystem::exists(path)) {
     try {
       // Attach via mmap: the image is validated in place (header
-      // negotiation, block bounds, checksums) without a read copy, and
-      // every process loading the same artifact shares its page cache.
+      // negotiation, block bounds, checksums) without a read copy, then
+      // decoded into the dictionary's own SoA block (a bad grid is a
+      // ParseError here, like any other corruption).
       const auto view = io::DictionaryView::map(path);
       if (!view.header().key.empty() && view.header().key != key) {
         throw ParseError("dictionary file was written under another key");

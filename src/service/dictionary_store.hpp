@@ -8,9 +8,9 @@
 ///      keyed exactly like the Session dictionary cache (circuit, fault
 ///      universe, grid, sim options — see ftdiag::dictionary_cache_key);
 ///   2. **disk** — a versioned binary `.fdx` file under root_dir named by
-///      that key, loaded with contiguous block reads and checksum-verified
-///      (corrupt or mismatched files are quarantined to `*.corrupt` and
-///      rebuilt, never trusted);
+///      that key, mapped, checksum-verified and decoded into the
+///      dictionary's private SoA block (corrupt or mismatched files are
+///      quarantined to `*.corrupt` and rebuilt, never trusted);
 ///   3. **build** — faults::SimulationEngine simulates the universe, and
 ///      the result is persisted back to disk so the *next* process starts
 ///      at tier 2.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "circuits/nf_biquad.hpp"
 #include "util/error.hpp"
 
@@ -71,14 +74,24 @@ TEST_F(DictionaryTest, UnknownSiteThrows) {
   EXPECT_THROW((void)dict_->entries_for(first + "x"), ConfigError);
 }
 
-TEST_F(DictionaryTest, FromPartsRebuildsTheSiteIndex) {
-  // Round-trip through from_parts with entries in reversed order: the
+TEST_F(DictionaryTest, AssembleRebuildsTheSiteIndex) {
+  // Re-assemble with the entries (faults and rows) in reversed order: the
   // per-site index must still resolve every site (deviations ascending)
   // and reject unknown labels.
-  std::vector<DictionaryEntry> reversed(dict_->entries().rbegin(),
-                                        dict_->entries().rend());
+  const std::size_t n = dict_->fault_count();
+  const std::size_t grid = dict_->frequencies().size();
+  auto planes = std::make_shared<mna::ResponsePlanes>(dict_->frequencies(),
+                                                      1 + n);
+  std::vector<ParametricFault> reversed;
+  for (std::size_t row = 0; row <= n; ++row) {
+    const mna::AcResponse& source =
+        row == 0 ? dict_->golden() : dict_->entries()[n - row].response;
+    std::copy_n(source.reals().data(), grid, planes->row_re(row));
+    std::copy_n(source.imags().data(), grid, planes->row_im(row));
+    if (row > 0) reversed.push_back(dict_->entries()[n - row].fault);
+  }
   const auto rebuilt =
-      FaultDictionary::from_parts(dict_->golden(), std::move(reversed));
+      FaultDictionary::assemble(std::move(reversed), std::move(planes));
   ASSERT_EQ(rebuilt.site_labels().size(), dict_->site_labels().size());
   for (const auto& site : dict_->site_labels()) {
     const auto& indices = rebuilt.entries_for(site);

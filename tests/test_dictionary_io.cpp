@@ -306,7 +306,7 @@ TEST_F(DictionaryIoTest, MalformedInputsRejected) {
       ParseError);
 }
 
-TEST_F(DictionaryIoTest, GridMismatchRejectedByFromParts) {
+TEST_F(DictionaryIoTest, EntryOffTheGoldenGridRejected) {
   // An entry on a different grid than the golden must be refused.
   EXPECT_THROW(
       load_dictionary("site,target,param,deviation,freq_hz,re,im\n"
@@ -316,9 +316,23 @@ TEST_F(DictionaryIoTest, GridMismatchRejectedByFromParts) {
       ConfigError);
 }
 
-TEST(DictionaryFromParts, EmptyEntriesRejected) {
-  EXPECT_THROW(faults::FaultDictionary::from_parts(
-                   mna::AcResponse({1.0}, {mna::Complex(1, 0)}), {}),
+TEST_F(DictionaryIoTest, GoldenGridMustBeFiniteAndAscending) {
+  // 1e308t overflows to +inf in units::parse.
+  for (const char* golden : {",,,0,1000,1,0\n,,,0,100,0.9,0\n",
+                             ",,,0,1e308t,1,0\n,,,0,100,0.9,0\n",
+                             ",,,0,100,1,0\n,,,0,1e308t,0.9,0\n"}) {
+    EXPECT_THROW(
+        (void)load_dictionary(
+            std::string("site,target,param,deviation,freq_hz,re,im\n") +
+            golden + "R1,value,,0.1,100,1,0\n"),
+        ParseError)
+        << golden;
+  }
+}
+
+TEST(DictionaryAssemble, EmptyFaultListRejected) {
+  EXPECT_THROW(faults::FaultDictionary::assemble(
+                   {}, mna::AcResponse({1.0}, {mna::Complex(1, 0)}).block()),
                ConfigError);
 }
 

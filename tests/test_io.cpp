@@ -75,6 +75,22 @@ TEST_F(IoTest, GnuplotRequires2d) {
   EXPECT_THROW(trajectory_gnuplot_script(trajs, "x.csv", "t"), ConfigError);
 }
 
+TEST(MeasurementCsv, RoundTripsAndRejectsBadGrids) {
+  const mna::AcResponse measured(
+      {100.0, 1000.0}, {mna::Complex(0.5, -0.25), mna::Complex(1, 0)});
+  std::ostringstream os;
+  write_measurement_csv(os, measured);
+  EXPECT_EQ(load_measurement_csv(os.str()).values(), measured.values());
+  // 1e308t overflows to +inf in units::parse.
+  for (const char* grid : {"1000,0.5,0\n100,1,0\n", "1e308t,0.5,0\n100,1,0\n",
+                           "100,0.5,0\n1e308t,1,0\n"}) {
+    EXPECT_THROW((void)load_measurement_csv(std::string("freq_hz,re,im\n") +
+                                            grid),
+                 ParseError)
+        << grid;
+  }
+}
+
 TEST(WriteFile, WritesAndFailsCleanly) {
   const std::string path = ::testing::TempDir() + "/ftdiag_io_test.txt";
   write_file(path, "hello");

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,6 +67,64 @@ TEST(WireCodec, DiagnoseRoundTripIsBitExact) {
     EXPECT_EQ(decoded.request.measured[i].values(),
               request.measured[i].values());
   }
+}
+
+/// A diagnose payload with one measured response on {100, 1000} Hz, its
+/// two frequency doubles replaced by \p lo and \p hi.
+std::string measured_payload(double lo, double hi) {
+  service::DiagnosisRequest request;
+  request.circuit = "paper";
+  request.measured.push_back(mna::AcResponse(
+      {100.0, 1000.0}, {mna::Complex(0.5, -0.25), mna::Complex(0.125, 0.0)}));
+  std::string payload = encode_diagnose(9, request);
+  std::string f0, f1;
+  io::put_f64(f0, 100.0);
+  io::put_f64(f1, 1000.0);
+  const std::size_t at0 = payload.find(f0);
+  const std::size_t at1 = payload.find(f1);
+  std::string patched;
+  io::put_f64(patched, lo);
+  payload.replace(at0, 8, patched);
+  patched.clear();
+  io::put_f64(patched, hi);
+  payload.replace(at1, 8, patched);
+  return payload;
+}
+
+TEST(WireCodec, MeasuredFrequenciesMustBeFiniteAndAscending) {
+  EXPECT_NO_THROW((void)decode_diagnose(measured_payload(100.0, 1000.0)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [lo, hi] : {std::pair{1000.0, 100.0}, std::pair{nan, 1000.0},
+                               std::pair{100.0, inf}}) {
+    EXPECT_THROW((void)decode_diagnose(measured_payload(lo, hi)), ParseError)
+        << lo << ", " << hi;
+  }
+}
+
+TEST(WireCodec, BitFlippedMeasuredPayloadsDecodeOrThrow) {
+  // Every mutant of a one-response payload must decode or throw an
+  // ftdiag::Error; a corrupted grid must never reach AcResponse's assert.
+  const std::string payload = measured_payload(100.0, 1000.0);
+  Rng rng(20261017);
+  std::size_t grid_rejections = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string mutant = payload;
+    const std::int64_t flips = rng.uniform_int(1, 3);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const auto bit = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(8 * mutant.size()) - 1));
+      mutant[bit / 8] = static_cast<char>(mutant[bit / 8] ^ (1 << (bit % 8)));
+    }
+    try {
+      (void)decode_diagnose(mutant);
+    } catch (const Error& e) {
+      if (std::string(e.what()).find("frequencies") != std::string::npos) {
+        ++grid_rejections;
+      }
+    }
+  }
+  EXPECT_GT(grid_rejections, 0u) << "the sweep never corrupted the grid";
 }
 
 TEST(WireCodec, ReplyRoundTripIsBitExact) {
@@ -378,6 +437,39 @@ TEST_F(NetLoopbackTest, MalformedDiagnosePayloadGetsErrorFrame) {
   frame = read_raw(socket);
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->first.type, static_cast<std::uint8_t>(MessageType::kPong));
+}
+
+TEST_F(NetLoopbackTest, DescendingMeasuredFrequenciesGetErrorFrame) {
+  // A dedicated server, so the counter identity covers this request only.
+  service::DiagnosisService service;
+  service.add_session("paper", *session_);
+  ServerOptions options;
+  options.port = 0;
+  Server server(service, options);
+  {
+    Socket socket = connect_tcp("127.0.0.1", server.port());
+    socket.send_all(encode_frame(MessageType::kDiagnose,
+                                 measured_payload(1000.0, 100.0)));
+    auto frame = read_raw(socket);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->first.type,
+              static_cast<std::uint8_t>(MessageType::kError));
+    socket.send_all(encode_frame(MessageType::kPing, ""));
+    frame = read_raw(socket);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->first.type,
+              static_cast<std::uint8_t>(MessageType::kPong));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().connections_open > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_received, 1u);
+  EXPECT_EQ(stats.requests_received,
+            stats.replies_sent + stats.error_frames_sent);
 }
 
 TEST_F(NetLoopbackTest, OversizedLengthPrefixAnswersThenCloses) {

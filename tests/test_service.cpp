@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -15,6 +16,7 @@
 
 #include "chaos/chaos.hpp"
 #include "circuits/nf_biquad.hpp"
+#include "io/binary.hpp"
 #include "io/dictionary_io.hpp"
 #include "mna/frequency_grid.hpp"
 #include "session.hpp"
@@ -159,6 +161,46 @@ TEST(DictionaryStore, CorruptArtifactsAreRebuiltNotTrusted) {
     EXPECT_EQ(store.stats().invalid_files, 1u);
     EXPECT_EQ(store.stats().builds, 1u);
   }
+}
+
+TEST(DictionaryStore, ResealedDescendingGridIsQuarantinedAndRebuilt) {
+  const std::string dir = fresh_dir("ftdiag_store_bad_grid");
+  const auto cut = small_cut();
+  StoreOptions options;
+  options.root_dir = dir;
+  const std::string key =
+      dictionary_cache_key(cut, coarse_spec(), faults::SimOptions{});
+  std::shared_ptr<const faults::FaultDictionary> built;
+  {
+    DictionaryStore store(options);
+    built = store.get(cut, coarse_spec());
+  }
+  const std::string path = dir + "/" + key + ".fdx";
+  const std::string good = io::read_file_bytes(path);
+
+  // Swap the first two frequencies and re-seal the block: every checksum
+  // passes, only the grid check can refuse the file.
+  const io::BinaryDictionaryLayout layout =
+      io::parse_binary_dictionary_layout(good);
+  const std::size_t at = layout.frequencies_offset;
+  const std::size_t size = 8 * layout.header.frequency_count;
+  std::string bad = good;
+  std::swap_ranges(bad.begin() + at, bad.begin() + at + 8,
+                   bad.begin() + at + 8);
+  std::string checksum;
+  io::put_u64(checksum, io::fnv1a(std::string_view(bad).substr(at, size)));
+  bad.replace(at + size, 8, checksum);
+  ASSERT_NO_THROW((void)io::parse_binary_dictionary_layout(bad));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+
+  DictionaryStore store(options);
+  const auto rebuilt = store.get(cut, coarse_spec());
+  EXPECT_EQ(store.stats().invalid_files, 1u);
+  EXPECT_EQ(store.stats().quarantined, 1u);
+  EXPECT_EQ(store.stats().builds, 1u);
+  EXPECT_EQ(io::read_file_bytes(path + ".corrupt"), bad);
+  expect_bit_identical(*built, *rebuilt);
+  EXPECT_EQ(io::read_file_bytes(path), good);
 }
 
 TEST(DictionaryStore, NetlistPathKeysFlattenToSafeFilenames) {

@@ -7,12 +7,15 @@
 /// per-frequency inner loop allocates nothing; only per-fault result
 /// storage scales).  The GA's batch scoring is held to the same standard:
 /// once the signature columns are cached, a batch's allocation count must
-/// not grow with the number of genomes it scores.
+/// not grow with the number of genomes it scores.  Decoding a `.fdx` image
+/// is held to its bytes: about one copy of the samples, not three.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "circuits/ladders.hpp"
@@ -22,6 +25,8 @@
 #include "faults/dictionary.hpp"
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
+#include "io/dictionary_io.hpp"
+#include "io/mapped_file.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/rank1.hpp"
 #include "mna/ac_analysis.hpp"
@@ -31,9 +36,11 @@
 
 namespace {
 std::atomic<std::size_t> g_allocation_count{0};
+std::atomic<std::size_t> g_allocation_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  g_allocation_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
 }  // namespace
@@ -54,6 +61,7 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 }
 void* operator new(std::size_t size, std::align_val_t align) {
   g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  g_allocation_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align),
                      size == 0 ? 1 : size) != 0) {
@@ -271,6 +279,37 @@ TEST(ZeroAllocation, WarmPipelineBatchAllocationsDoNotGrowWithBatchSize) {
   EXPECT_LE(at_256, at_16 + 4)
       << "pipeline allocations grew with the batch size (16 genomes: "
       << at_16 << ", 256 genomes: " << at_256 << ")";
+}
+
+TEST(ZeroAllocation, FdxDecodersAllocateAboutOneCopyOfTheSamples) {
+  const auto cut = circuits::make_by_name("state_variable");
+  const auto dictionary = faults::FaultDictionary::build(
+      cut, faults::FaultUniverse::over_testable(cut));
+  std::ostringstream os;
+  io::save_dictionary_binary(os, dictionary);
+  const std::string image = os.str();
+  const io::DictionaryView view = io::DictionaryView::over(image);
+
+  // The samples (16 bytes each, golden included) plus the grid; the 25 %
+  // covers the fault list, the site index and the row views.
+  const std::size_t faults = dictionary.fault_count();
+  const std::size_t grid = dictionary.frequencies().size();
+  const double bound = 1.25 * (16.0 * static_cast<double>((faults + 1) * grid) +
+                               8.0 * static_cast<double>(grid));
+  auto bytes_of = [&](auto decode) {
+    const std::size_t before =
+        g_allocation_bytes.load(std::memory_order_relaxed);
+    const faults::FaultDictionary decoded = decode();
+    const std::size_t after =
+        g_allocation_bytes.load(std::memory_order_relaxed);
+    EXPECT_EQ(decoded.fault_count(), faults);
+    return static_cast<double>(after - before);
+  };
+  const double materialized = bytes_of([&] { return view.materialize(); });
+  const double loaded =
+      bytes_of([&] { return io::load_dictionary_binary(image); });
+  EXPECT_LE(materialized, bound) << "x" << materialized / (bound / 1.25);
+  EXPECT_LE(loaded, bound) << "x" << loaded / (bound / 1.25);
 }
 
 }  // namespace

@@ -78,8 +78,9 @@ struct DenseLane {
   AlignedVector w_re, w_im;    ///< site_count * n * width
 };
 
-/// Phase-1 workspace of a sparse lane: one solver plus the read-set
-/// solutions of the golden system and of the current site's u.
+/// Phase-1 workspace of a sparse lane: one solver (factoring a pair of
+/// frequencies at a time) plus the read-set solutions of the golden
+/// system and of the current site's u.
 struct SparseLane {
   mna::SweepSolver solver;
   std::vector<Complex> x0, w;  ///< n; only read-set entries are meaningful
@@ -197,14 +198,14 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
 /// The factorization-reuse sweep over frequency blocks.  Phase 1 factors
 /// the golden system and reduces it to the sweep inputs: on the dense
 /// backend batched P::width frequencies per SIMD lane with full solves, on
-/// the sparse backend one refactor per frequency with read-set solves
-/// only.  Phase 2 fans the sites out over the SIMD Sherman–Morrison sweep,
-/// reading nothing but those inputs.  The golden goes to row 0 of
-/// \p block and fault i to row 1 + i.  Instantiated once on the native
-/// pack and once on ScalarPack (the runtime FTDIAG_SIMD=off twin); every
-/// frequency's arithmetic is independent of which lane computes it and
-/// batch membership is width-determined, so results are bit-stable across
-/// thread counts.
+/// the sparse backend one schedule replay per pair of frequencies (an odd
+/// last one alone) with read-set solves only.  Phase 2 fans the sites out
+/// over the SIMD Sherman–Morrison sweep, reading nothing but those
+/// inputs.  The golden goes to row 0 of \p block and fault i to row
+/// 1 + i.  Instantiated once on the native pack and once on ScalarPack
+/// (the runtime FTDIAG_SIMD=off twin); every frequency's arithmetic is
+/// independent of which lane computes it and batch membership is
+/// width-determined, so results are bit-stable across thread counts.
 template <typename P>
 void reuse_sweep(const circuits::CircuitUnderTest& cut,
                  const SimOptions& options,
@@ -241,7 +242,7 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
   std::vector<DenseLane<P>> dense_lanes;
   std::vector<SparseLane> sparse_lanes;
   const std::size_t lane_count = std::max<std::size_t>(
-      1, std::min(threads, context->sparse ? block_cap : batch_cap));
+      1, std::min(threads, context->sparse ? (block_cap + 1) / 2 : batch_cap));
   if (context->sparse) {
     for (std::size_t i = 0; i < n; ++i) {
       if (assembler.rhs()[i] != Complex{}) {
@@ -292,16 +293,15 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
     }
 
     if (context->sparse) {
-      par::parallel_for_lanes(m, threads, [&](std::size_t lane,
-                                              std::size_t i) {
-        SparseLane& ws = sparse_lanes[lane];
-        ws.solver.factor(s_padded[i]);
-        ws.solver.solve_read_set(rhs_entries, ws.x0);
+      // Reduce frequency i of the block, factored as point `point` of the
+      // lane's solver, to its sweep inputs.
+      auto reduce = [&](SparseLane& ws, std::size_t point, std::size_t i) {
+        ws.solver.solve_read_set(rhs_entries, ws.x0, point);
         in.x0_re[i] = ws.x0[out].real();
         in.x0_im[i] = ws.x0[out].imag();
         for (std::size_t si = 0; si < site_count; ++si) {
           const mna::Rank1StampUpdate& update = sites[si].update;
-          ws.solver.solve_read_set(update.u.entries, ws.w);
+          ws.solver.solve_read_set(update.u.entries, ws.w, point);
           Complex v_dot_x0{};
           Complex v_dot_w{};
           for (const auto& [index, value] : update.v.entries) {
@@ -316,6 +316,19 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
           in.vw_re[at] = v_dot_w.real();
           in.vw_im[at] = v_dot_w.imag();
         }
+      };
+      par::parallel_for_lanes((m + 1) / 2, threads, [&](std::size_t lane,
+                                                        std::size_t pair) {
+        SparseLane& ws = sparse_lanes[lane];
+        const std::size_t i = 2 * pair;
+        if (i + 1 == m) {
+          ws.solver.factor(s_padded[i]);
+          reduce(ws, 0, i);
+          return;
+        }
+        ws.solver.factor_pair(s_padded[i], s_padded[i + 1]);
+        reduce(ws, 0, i);
+        reduce(ws, 1, i + 1);
       });
     } else {
       par::parallel_for_lanes(batches, threads, [&](std::size_t lane,

@@ -7,7 +7,9 @@
 ///
 ///   1. assembles and factorizes the *golden* system once — batched dense
 ///      LU for small circuits, pattern-reusing sparse LU (mna::SweepSolver)
-///      beyond mna::SweepAssembler::kDenseLimit,
+///      beyond mna::SweepAssembler::kDenseLimit, where one replay of the
+///      analysis' compiled elimination schedule refactors two frequencies
+///      at a time (bit-identical to one at a time),
 ///   2. produces each faulty response from that factorization via a
 ///      Sherman–Morrison rank-1 update (linalg/rank1.hpp), solving one
 ///      extra triangular pair per *fault site* — on the sparse backend

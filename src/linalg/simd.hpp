@@ -226,7 +226,11 @@ struct NativePack {
   }
 };
 
-[[nodiscard]] inline NativePack sqrt(NativePack a) {
+// The free helpers below are forced inline: GCC otherwise compiles some
+// out of line (.constprop clones) and passes whole packs through the
+// stack in the middle of pack loops.
+
+[[nodiscard, gnu::always_inline]] inline NativePack sqrt(NativePack a) {
 #if defined(__AVX512F__)
   // The native pack is 8 doubles here, and GCC 12's stdx::sqrt on it goes
   // through _mm512_undefined_pd, whose self-initialisation trips
@@ -238,25 +242,27 @@ struct NativePack {
   return {stdx::sqrt(a.v)};
 #endif
 }
-[[nodiscard]] inline NativePack min(NativePack a, NativePack b) {
+[[nodiscard, gnu::always_inline]] inline NativePack min(NativePack a,
+                                                        NativePack b) {
   return {stdx::min(a.v, b.v)};
 }
-[[nodiscard]] inline NativePack max(NativePack a, NativePack b) {
+[[nodiscard, gnu::always_inline]] inline NativePack max(NativePack a,
+                                                        NativePack b) {
   return {stdx::max(a.v, b.v)};
 }
-[[nodiscard]] inline NativePack select(NativePack::Mask m, NativePack a,
-                                       NativePack b) {
+[[nodiscard, gnu::always_inline]] inline NativePack select(
+    NativePack::Mask m, NativePack a, NativePack b) {
   NativePack out = b;
   stdx::where(m.m, out.v) = a.v;
   return out;
 }
-[[nodiscard]] inline bool any_of(NativePack::Mask m) {
+[[nodiscard, gnu::always_inline]] inline bool any_of(NativePack::Mask m) {
   return stdx::any_of(m.m);
 }
-[[nodiscard]] inline bool all_of(NativePack::Mask m) {
+[[nodiscard, gnu::always_inline]] inline bool all_of(NativePack::Mask m) {
   return stdx::all_of(m.m);
 }
-[[nodiscard]] inline bool none_of(NativePack::Mask m) {
+[[nodiscard, gnu::always_inline]] inline bool none_of(NativePack::Mask m) {
   return stdx::none_of(m.m);
 }
 

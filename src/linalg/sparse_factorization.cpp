@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -231,8 +232,28 @@ SparseFactorization<T>::SparseFactorization(
   for (std::size_t k = 0; k < n; ++k) {
     inv_pivot_[k] = reciprocal(values_[sym->diag[k]]);
   }
+
+  // Compile the elimination the refactor replays.  Row k's pattern is
+  // closed under its updates (that is what the fill above recorded), so
+  // every U entry of every pivot it uses has a slot in row k.
+  if (sym->col.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw NumericError("sparse factor too large for a 32-bit schedule");
+  }
+  std::vector<std::uint32_t> slot_of_col(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t idx = sym->row_start[k]; idx < sym->row_start[k + 1];
+         ++idx) {
+      slot_of_col[sym->col[idx]] = static_cast<std::uint32_t>(idx);
+    }
+    for (std::size_t idx = sym->row_start[k]; idx < sym->diag[k]; ++idx) {
+      const std::size_t j = sym->position[sym->col[idx]];
+      sym->multiplier_pivot.push_back(static_cast<std::uint32_t>(j));
+      for (std::size_t u = sym->diag[j] + 1; u < sym->row_start[j + 1]; ++u) {
+        sym->update_slot.push_back(slot_of_col[sym->col[u]]);
+      }
+    }
+  }
   symbolic_ = std::move(sym);
-  work_.assign(n, T{});
 }
 
 template <typename T>
@@ -268,50 +289,86 @@ void SparseFactorization<T>::refactor(const CooMatrix<T>& a) {
 template <typename T>
 void SparseFactorization<T>::refactor() {
   FTDIAG_ASSERT(symbolic_ != nullptr, "refactor before symbolic analysis");
-  const Symbolic& sym = *symbolic_;
-  // Squared magnitudes: the analysis' |pivot| <= 1e-13 * max|a| test
-  // without a hypot per value.
-  double max_norm = 0.0;
-  for (const T& v : values_) max_norm = std::max(max_norm, std::norm(v));
-  if (max_norm == 0.0) {
-    throw NumericError("sparse refactorization of the zero matrix");
-  }
-  const double tolerance = kPivotTolerance * kPivotTolerance * max_norm;
+  replay<1>({this});
+}
 
-  // Up-looking elimination into the fixed pattern with the frozen pivot
-  // order: for each factor row, apply the updates of every earlier pivot
-  // the row touches (ascending, so the per-position operation order
-  // matches the analysis), then gather back.  Each pivot is inverted once
-  // and multiplied thereafter.  No searching, no allocation.
-  T* const w = work_.data();
-  const std::size_t* const cols = sym.col.data();
-  T* const vals = values_.data();
+template <typename T>
+void SparseFactorization<T>::refactor_pair(SparseFactorization& a,
+                                           SparseFactorization& b) {
+  FTDIAG_ASSERT(a.symbolic_ != nullptr && a.symbolic_ == b.symbolic_,
+                "paired refactor needs copies of one analysis");
+  replay<2>({&a, &b});
+}
+
+template <typename T>
+template <std::size_t N>
+void SparseFactorization<T>::replay(
+    const std::array<SparseFactorization*, N>& factors) {
+  const Symbolic& sym = *factors[0]->symbolic_;
+  std::array<T*, N> vals;
+  std::array<T*, N> inv;
+  // Squared magnitudes: the analysis' |pivot| <= 1e-13 * max|a| test
+  // without a hypot per value.  Row k's slots still hold A's values when
+  // its turn comes, so the largest entry is gathered on the way and the
+  // test is settled once the largest is known.  Neither counts NaN.
+  std::array<double, N> max_norm;
+  std::array<double, N> min_pivot_norm;
+  for (std::size_t p = 0; p < N; ++p) {
+    vals[p] = factors[p]->values_.data();
+    inv[p] = factors[p]->inv_pivot_.data();
+    max_norm[p] = 0.0;
+    min_pivot_norm[p] = std::numeric_limits<double>::infinity();
+  }
+
+  // Up-looking elimination in place, in the analysis' operation order:
+  // each multiplier of row k is finished by the updates of the pivots
+  // before it, then applies its own pivot's U row to the slots the
+  // schedule names.  Each pivot is inverted once and multiplied
+  // thereafter.  The N value sets are independent; interleaving them
+  // lets one's dependency chain fill the other's stalls.
+  const std::uint32_t* pivot = sym.multiplier_pivot.data();
+  const std::uint32_t* slot = sym.update_slot.data();
   for (std::size_t k = 0; k < sym.n; ++k) {
-    const std::size_t rb = sym.row_start[k];
-    const std::size_t re = sym.row_start[k + 1];
     const std::size_t rd = sym.diag[k];
-    for (std::size_t idx = rb; idx < re; ++idx) w[cols[idx]] = vals[idx];
-    for (std::size_t idx = rb; idx < rd; ++idx) {
-      const std::size_t c = cols[idx];
-      const std::size_t j = sym.position[c];
-      const T multiplier = mul(w[c], inv_pivot_[j]);
-      w[c] = multiplier;
-      for (std::size_t u = sym.diag[j] + 1; u < sym.row_start[j + 1]; ++u) {
-        w[cols[u]] = sub_mul(w[cols[u]], multiplier, vals[u]);
+    for (std::size_t p = 0; p < N; ++p) {
+      for (std::size_t idx = sym.row_start[k]; idx < sym.row_start[k + 1];
+           ++idx) {
+        max_norm[p] = std::max(max_norm[p], std::norm(vals[p][idx]));
       }
     }
-    if (std::norm(w[cols[rd]]) <= tolerance) {
-      // The analysis-time pivot order is numerically unacceptable for
-      // these values; the caller falls back to a fresh analysis.
-      for (std::size_t idx = rb; idx < re; ++idx) w[cols[idx]] = T{};
-      throw NumericError(str::format(
-          "reused pivot order broke down at pivot %zu in sparse refactor", k));
+    for (std::size_t idx = sym.row_start[k]; idx < rd; ++idx, ++pivot) {
+      const std::size_t j = *pivot;
+      std::array<T, N> multiplier;
+      for (std::size_t p = 0; p < N; ++p) {
+        multiplier[p] = mul(vals[p][idx], inv[p][j]);
+        vals[p][idx] = multiplier[p];
+      }
+      const std::size_t u_end = sym.row_start[j + 1];
+      for (std::size_t u = sym.diag[j] + 1; u < u_end; ++u, ++slot) {
+        for (std::size_t p = 0; p < N; ++p) {
+          vals[p][*slot] = sub_mul(vals[p][*slot], multiplier[p], vals[p][u]);
+        }
+      }
     }
-    for (std::size_t idx = rb; idx < re; ++idx) {
-      vals[idx] = w[cols[idx]];
-      w[cols[idx]] = T{};
+    for (std::size_t p = 0; p < N; ++p) {
+      min_pivot_norm[p] = std::min(min_pivot_norm[p], std::norm(vals[p][rd]));
+      inv[p][k] = reciprocal(vals[p][rd]);
     }
-    inv_pivot_[k] = reciprocal(vals[rd]);
+  }
+
+  for (std::size_t p = 0; p < N; ++p) {
+    if (max_norm[p] == 0.0) {
+      throw NumericError("sparse refactorization of the zero matrix");
+    }
+    const double tolerance = kPivotTolerance * kPivotTolerance * max_norm[p];
+    if (min_pivot_norm[p] > tolerance) continue;
+    // The analysis-time pivot order is numerically unacceptable for these
+    // values; the caller falls back to a fresh analysis.  Pivots up to
+    // the first small one are exact, so that one is found again.
+    std::size_t k = 0;
+    while (!(std::norm(vals[p][sym.diag[k]]) <= tolerance)) ++k;
+    throw NumericError(str::format(
+        "reused pivot order broke down at pivot %zu in sparse refactor", k));
   }
 }
 

@@ -22,8 +22,17 @@
 ///      zeros, so the pattern is a function of the input structure only.
 ///   2. **Numeric phase** (`refactor`).  The caller writes A's values into
 ///      the frozen pattern's slots (`slot()` maps an entry once, `values()`
-///      is the array) and an up-looking elimination replays the recorded
-///      pivot order.  No searching, no allocation, O(flops of the factor).
+///      is the array) and the elimination replays an update schedule the
+///      symbolic phase compiled: per factor row, each multiplier slot's
+///      pivot, and for every (multiplier, U entry) pair the destination
+///      slot in the row being eliminated.  The replay updates the slots in
+///      place — no dense accumulator, no scatter/gather, no column lookups,
+///      no allocation — with O(flops of the factor) work.
+///      `refactor_pair` replays the schedule over two value sets of one
+///      analysis at once, so each one's pivot -> reciprocal -> next-row
+///      latency chain overlaps the other's.  Every slot sees the same
+///      operations in the same order either way, so a paired refactor is
+///      bit-identical to two single ones.
 ///   3. **Solves.**  `solve_into` is the full solve.  `solve_trailing`
 ///      computes the trailing unknowns only: forward substitution starts
 ///      at the first nonzero row of the permuted right-hand side and back
@@ -32,16 +41,18 @@
 ///      costs O(trailing block²) instead of O(factor) — computing only
 ///      the entries of A^-1 that are needed (Erisman & Tinney).
 ///
-/// Copies share the immutable symbolic phase (cheap per-lane clones for
-/// parallel sweeps); each copy owns its numeric values, so concurrent
-/// refactor/solve on different copies is safe.
+/// Copies share the immutable symbolic phase and its schedule (cheap
+/// per-lane clones for parallel sweeps); each copy owns its numeric
+/// values, so concurrent refactor/solve on different copies is safe.
 ///
 /// `refactor` throws NumericError when the frozen pivot order turns
 /// numerically unacceptable at the new values (a pivot collapsing towards
 /// zero); callers fall back to a fresh full analysis at that point.
 #pragma once
 
+#include <array>
 #include <complex>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -80,6 +91,14 @@ public:
   /// for these values; the factorization is unusable until the next
   /// successful refactor.
   void refactor();
+
+  /// refactor() of \p a and \p b — copies sharing one analysis, their
+  /// values() written — in one pass over the schedule.  Bit-identical to
+  /// a.refactor() and b.refactor().  \throws NumericError when a reused
+  /// pivot breaks down in either; both are then unusable until their next
+  /// successful refactor, and which one broke down is only learned by
+  /// refactoring them one at a time.
+  static void refactor_pair(SparseFactorization& a, SparseFactorization& b);
 
   /// Refill from \p a — a structural subset of the analyzed pattern, e.g.
   /// the reactive part vanishing at s = 0 — and refactor().  \throws
@@ -123,7 +142,18 @@ private:
     std::vector<std::size_t> inv_perm;   ///< pivot of row r of A
     std::vector<std::size_t> order;      ///< column of A at pivot k
     std::vector<std::size_t> position;   ///< pivot of column c of A
+    /// The compiled elimination, in replay order.  The L slots of every
+    /// row, ascending, each name the pivot j whose U entries they apply;
+    /// each such U entry's update lands in the slot that follows in
+    /// update_slot.  Pivot j's U-row length gives the count.
+    std::vector<std::uint32_t> multiplier_pivot;  ///< per L slot
+    std::vector<std::uint32_t> update_slot;  ///< per (multiplier, U entry)
   };
+
+  /// The numeric refactor of N copies sharing one analysis, replaying the
+  /// schedule once for all of them.
+  template <std::size_t N>
+  static void replay(const std::array<SparseFactorization*, N>& factors);
 
   /// Forward substitution over pivots [first, n), then back substitution
   /// over pivots [back_from, n), on \p x indexed by unknown (pivot k's
@@ -134,7 +164,6 @@ private:
   std::shared_ptr<const Symbolic> symbolic_;
   std::vector<T> values_;     ///< factor values in slot order
   std::vector<T> inv_pivot_;  ///< 1 / pivot k, reused by refactor and solves
-  std::vector<T> work_;    ///< dense accumulator of the up-looking refactor
 };
 
 extern template class SparseFactorization<double>;

@@ -73,7 +73,8 @@ SweepSolver::SweepSolver(const SweepAssembler& assembler,
   FTDIAG_ASSERT(context_ != nullptr, "sweep solver needs an analyzed context");
   if (context_->sparse) {
     coo_ = linalg::CooMatrix<Complex>(assembler.size(), assembler.size());
-    reused_ = context_->prototype;  // shares the immutable symbolic phase
+    // Both share the immutable symbolic phase.
+    for (SparsePoint& point : points_) point.reused = context_->prototype;
   }
 }
 
@@ -90,16 +91,46 @@ void SweepSolver::factor(Complex s) {
     lu_.factor_in_place(a_);
     return;
   }
-  use_fresh_ = false;
-  if (reused_.analyzed()) {
-    const std::span<Complex> values = reused_.values();
-    std::copy(context_->g_values.begin(), context_->g_values.end(),
-              values.begin());
-    for (const auto& [slot, coefficient] : context_->c_slots) {
-      values[slot] += s * coefficient;
-    }
+  factor_point(points_[0], s);
+}
+
+void SweepSolver::factor_pair(Complex s0, Complex s1) {
+  FTDIAG_ASSERT(context_->sparse, "paired factors need the sparse backend");
+  SparsePoint& a = points_[0];
+  SparsePoint& b = points_[1];
+  if (a.reused.analyzed()) {
+    load(a.reused, s0);
+    load(b.reused, s1);
     try {
-      reused_.refactor();
+      linalg::SparseFactorization<Complex>::refactor_pair(a.reused, b.reused);
+      a.use_fresh = false;
+      b.use_fresh = false;
+      return;
+    } catch (const NumericError&) {
+      // A frozen pivot broke down in one of the two: refactor each alone,
+      // so only the point that broke down counts and analyzes fresh.
+    }
+  }
+  factor_point(a, s0);
+  factor_point(b, s1);
+}
+
+void SweepSolver::load(linalg::SparseFactorization<Complex>& lu,
+                       Complex s) const {
+  const std::span<Complex> values = lu.values();
+  std::copy(context_->g_values.begin(), context_->g_values.end(),
+            values.begin());
+  for (const auto& [slot, coefficient] : context_->c_slots) {
+    values[slot] += s * coefficient;
+  }
+}
+
+void SweepSolver::factor_point(SparsePoint& point, Complex s) {
+  point.use_fresh = false;
+  if (point.reused.analyzed()) {
+    load(point.reused, s);
+    try {
+      point.reused.refactor();
       return;
     } catch (const NumericError&) {
       // Frozen pivot order is numerically unusable here — analyze fresh
@@ -109,8 +140,8 @@ void SweepSolver::factor(Complex s) {
     }
   }
   assembler_->assemble(s, coo_);
-  fresh_ = linalg::SparseFactorization<Complex>(coo_, context_->read_set);
-  use_fresh_ = true;
+  point.fresh = linalg::SparseFactorization<Complex>(coo_, context_->read_set);
+  point.use_fresh = true;
 }
 
 void SweepSolver::solve_into(std::span<const Complex> b,
@@ -118,15 +149,16 @@ void SweepSolver::solve_into(std::span<const Complex> b,
   if (!context_->sparse) {
     lu_.solve_into(b, x);
   } else {
-    sparse_lu().solve_into(b, x);
+    points_[0].lu().solve_into(b, x);
   }
 }
 
 void SweepSolver::solve_read_set(
-    std::span<const std::pair<std::size_t, Complex>> b,
-    std::span<Complex> x) const {
+    std::span<const std::pair<std::size_t, Complex>> b, std::span<Complex> x,
+    std::size_t point) const {
   FTDIAG_ASSERT(context_->sparse, "read-set solves need the sparse backend");
-  sparse_lu().solve_trailing(b, x);
+  FTDIAG_ASSERT(point < points_.size(), "read-set solve at an unknown point");
+  points_[point].lu().solve_trailing(b, x);
 }
 
 }  // namespace ftdiag::mna

@@ -13,7 +13,10 @@
 ///   - each sweep lane owns one `SweepSolver` (cheap: sparse clones share
 ///     the symbolic phase) and calls `factor(s)` + a solve per frequency
 ///     with zero steady-state allocations on both backends.  On the sparse
-///     backend `solve_read_set` computes the read set alone.
+///     backend `solve_read_set` computes the read set alone, and
+///     `factor_pair(s0, s1)` factors two frequencies in one replay of the
+///     compiled elimination schedule (linalg::SparseFactorization::
+///     refactor_pair), bit-identical to factoring them one at a time.
 ///
 /// Determinism: the Context depends only on the circuit, the read set and
 /// the fixed reference point, never on which frequencies were solved
@@ -22,7 +25,8 @@
 /// pivot order breaks down numerically at some point, that lane falls
 /// back to a fresh local analysis *for that point only* (counted by
 /// `ftdiag_sparse_pivot_breakdowns_total`); the shared Context is never
-/// mutated.
+/// mutated.  A pair whose replay breaks down is refactored one point at a
+/// time, so the count and the fallback stay with the point that broke.
 #pragma once
 
 #include <array>
@@ -89,27 +93,50 @@ public:
   SweepSolver(const SweepAssembler& assembler,
               std::shared_ptr<const Context> context);
 
-  /// Assemble and factor A(s); zero allocations in steady state on both
-  /// backends.  \throws NumericError if A(s) is singular.
+  /// Assemble and factor A(s) as point 0; zero allocations in steady
+  /// state on both backends.  \throws NumericError if A(s) is singular.
   void factor(Complex s);
 
-  /// Solve A x = b with the current factorization (allocation-free).
+  /// Sparse backend only: factor A(s0) as point 0 and A(s1) as point 1,
+  /// bit-identical to factor(s0) and a one-point factor(s1), with zero
+  /// allocations in steady state.  \throws NumericError if either is
+  /// singular.
+  void factor_pair(Complex s0, Complex s1);
+
+  /// Solve A x = b with point 0's factorization (allocation-free).
   void solve_into(std::span<const Complex> b, std::span<Complex> x) const;
 
-  /// Sparse backend only: solve A x = b for the context's read set, with
-  /// \p b as (row, value) entries.  \p x has size n; on return it holds
-  /// the solution at every read-set unknown, and its other entries are
-  /// scratch.  Allocation-free.
+  /// Sparse backend only: solve A x = b at \p point (0, or 1 after
+  /// factor_pair) for the context's read set, with \p b as (row, value)
+  /// entries.  \p x has size n; on return it holds the solution at every
+  /// read-set unknown, and its other entries are scratch.
+  /// Allocation-free.
   void solve_read_set(std::span<const std::pair<std::size_t, Complex>> b,
-                      std::span<Complex> x) const;
+                      std::span<Complex> x, std::size_t point = 0) const;
 
   [[nodiscard]] bool sparse() const { return context_->sparse; }
   [[nodiscard]] std::size_t size() const { return assembler_->size(); }
 
 private:
-  [[nodiscard]] const linalg::SparseFactorization<Complex>& sparse_lu() const {
-    return use_fresh_ ? fresh_ : reused_;
-  }
+  /// Sparse backend state of one factored frequency.  `reused` clones the
+  /// context prototype and is refilled per frequency; `fresh` holds a
+  /// point-local full analysis when the frozen pivot order is numerically
+  /// unusable at that point.  Both points are cloned up front, on the
+  /// thread that builds the solver.
+  struct SparsePoint {
+    linalg::SparseFactorization<Complex> reused;
+    linalg::SparseFactorization<Complex> fresh;
+    bool use_fresh = false;
+
+    [[nodiscard]] const linalg::SparseFactorization<Complex>& lu() const {
+      return use_fresh ? fresh : reused;
+    }
+  };
+
+  /// Write G + s*C into \p lu's values through the context's slot maps.
+  void load(linalg::SparseFactorization<Complex>& lu, Complex s) const;
+  /// Factor A(s) into \p point alone, falling back to a fresh analysis.
+  void factor_point(SparsePoint& point, Complex s);
 
   const SweepAssembler* assembler_;
   std::shared_ptr<const Context> context_;
@@ -118,14 +145,9 @@ private:
   linalg::Matrix<Complex> a_;
   linalg::LuFactorization<Complex> lu_;
 
-  // Sparse backend state.  `reused_` clones the context prototype and is
-  // refilled per frequency; `fresh_` holds a point-local full analysis
-  // (assembled through `coo_`) when the frozen pivot order is numerically
-  // unusable at that point.
+  // Sparse backend state; `coo_` assembles the fresh analyses.
   linalg::CooMatrix<Complex> coo_{0, 0};
-  linalg::SparseFactorization<Complex> reused_;
-  linalg::SparseFactorization<Complex> fresh_;
-  bool use_fresh_ = false;
+  std::array<SparsePoint, 2> points_;
 };
 
 /// SweepSolver's batched dense sibling: factor/solve P::width frequencies

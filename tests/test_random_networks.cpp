@@ -12,6 +12,7 @@
 #include "linalg/sparse_factorization.hpp"
 #include "mna/ac_analysis.hpp"
 #include "mna/dc_analysis.hpp"
+#include "mna/frequency_grid.hpp"
 #include "mna/stamp_update.hpp"
 #include "netlist/circuit.hpp"
 #include "util/rng.hpp"
@@ -178,6 +179,68 @@ TEST_P(RandomRcNetworkTest, SparseFactorizationRefactorsAcrossFrequencies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRcNetworkTest,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+/// Paired sparse factors are the single ones, bit for bit: a random
+/// network of each SparseFactorizationAgreementTest size, forced onto the
+/// sparse backend with a read set, factored over a grid two frequencies at
+/// a time by one solver and one frequency at a time by another.  The
+/// read-set solutions of both points, and the full solve of point 0, must
+/// agree in every bit.
+class SweepSolverPairTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SweepSolverPairTest, PairedFactorsMatchSingleFactorsBitForBit) {
+  const std::size_t nodes = GetParam();
+  Rng rng(700 + nodes);
+  const netlist::Circuit circuit = random_rc_network(rng, nodes, 3 * nodes);
+  if (!circuit.validate().empty()) GTEST_SKIP() << "degenerate draw";
+  const mna::MnaSystem system(circuit);
+  const auto assembler = system.prepare_sweep();
+  const std::size_t n = assembler.size();
+  std::vector<std::size_t> read_set{
+      system.node_unknown(str::format("n%zu", nodes - 1))};
+  std::vector<std::pair<std::size_t, mna::Complex>> rhs;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (assembler.rhs()[i] != mna::Complex{}) {
+      rhs.emplace_back(i, assembler.rhs()[i]);
+      read_set.push_back(i);
+    }
+  }
+  const auto context = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kSparse, read_set);
+  ASSERT_TRUE(context->sparse);
+  ASSERT_TRUE(context->prototype.analyzed());
+
+  mna::SweepSolver paired(assembler, context);
+  mna::SweepSolver single(assembler, context);
+  std::vector<mna::Complex> x_pair(n), x_single(n);
+  auto expect_same = [&](std::size_t point, double hz) {
+    for (std::size_t u : read_set) {
+      EXPECT_EQ(x_pair[u].real(), x_single[u].real())
+          << "point " << point << " unknown " << u << " at " << hz << " Hz";
+      EXPECT_EQ(x_pair[u].imag(), x_single[u].imag())
+          << "point " << point << " unknown " << u << " at " << hz << " Hz";
+    }
+  };
+  const std::vector<double> grid =
+      mna::FrequencyGrid::log_sweep(10.0, 1e6, 8).frequencies();
+  for (std::size_t i = 0; i < grid.size(); i += 2) {
+    paired.factor_pair(linalg::s_of_hz(grid[i]), linalg::s_of_hz(grid[i + 1]));
+    for (std::size_t point = 0; point < 2; ++point) {
+      single.factor(linalg::s_of_hz(grid[i + point]));
+      paired.solve_read_set(rhs, x_pair, point);
+      single.solve_read_set(rhs, x_single);
+      expect_same(point, grid[i + point]);
+      if (point == 0) {
+        paired.solve_into(assembler.rhs(), x_pair);
+        single.solve_into(assembler.rhs(), x_single);
+        EXPECT_EQ(x_pair, x_single) << "full solve at " << grid[i] << " Hz";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SweepSolverPairTest,
+                         ::testing::Values(2, 5, 10, 25, 50, 100, 200));
 
 /// Ladder differential at scale: sparse pattern-reuse path vs the dense
 /// reference on a 1000-section RC ladder (1002 unknowns), rel tol 1e-9.

@@ -343,9 +343,11 @@ TEST(SimulationEngine, ForcedSparseMatchesDenseOnEveryRegistryCircuit) {
 /// A 200-section RC ladder (past the dense limit) with a series LC from
 /// its middle node to ground, resonant exactly on one grid point: there
 /// the series branch is a short, a pivot frozen at the reference point
-/// collapses, and that frequency alone gets a fresh analysis.  The
-/// fallback must be counted and the build must still match the naive
-/// inject-and-sweep path.
+/// collapses, and that frequency alone gets a fresh analysis.  The engine
+/// factors frequencies in pairs, so the resonance goes once to an even
+/// grid index (the first of its pair) and once to an odd one (the
+/// second).  Either way exactly that one fallback must be counted, and
+/// the build must still match the naive inject-and-sweep path.
 TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
   circuits::RcLadderDesign design;
   design.sections = 200;
@@ -357,25 +359,33 @@ TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
   cut.circuit.add_capacitor("CX", "mx", "0", capacitance);
   const double f0 = 1.0 / (2.0 * std::numbers::pi *
                            std::sqrt(inductance * capacitance));
-  std::vector<double> freqs =
-      mna::FrequencyGrid::log_sweep(f0 / 10.0, f0 * 10.0, 21).frequencies();
-  freqs[10] = f0;
   const auto faults = FaultUniverse::over_testable(cut).enumerate();
-
   const obs::Counter& breakdowns = obs::Registry::global().counter(
       "ftdiag_sparse_pivot_breakdowns_total");
-  const std::uint64_t before = breakdowns.value();
-  const BatchResult batch =
-      SimulationEngine(cut, SimOptions{}).simulate_all(faults, freqs);
-  EXPECT_GT(breakdowns.value(), before);
-  EXPECT_EQ(batch.stats.fallback_faults, 0u);
 
-  const Reference reference = naive_reference(cut, faults, freqs);
-  const double scale = response_scale(reference.golden);
-  expect_close(batch.golden, reference.golden, scale, "resonant golden");
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    expect_close(batch.responses[i], reference.responses[i], scale,
-                 "resonant " + faults[i].label());
+  for (const std::size_t resonance : {std::size_t{10}, std::size_t{11}}) {
+    // f0 sits at the centre of the log sweep (index 10); one extra point
+    // below the band moves it to index 11.
+    std::vector<double> freqs =
+        mna::FrequencyGrid::log_sweep(f0 / 10.0, f0 * 10.0, 21).frequencies();
+    if (resonance == 11) freqs.insert(freqs.begin(), f0 / 20.0);
+    freqs[resonance] = f0;
+    const std::string context = "resonance @ " + std::to_string(resonance);
+
+    const std::uint64_t before = breakdowns.value();
+    const BatchResult batch =
+        SimulationEngine(cut, SimOptions{}).simulate_all(faults, freqs);
+    EXPECT_EQ(breakdowns.value(), before + 1) << context;
+    EXPECT_EQ(batch.stats.fallback_faults, 0u) << context;
+
+    const Reference reference = naive_reference(cut, faults, freqs);
+    const double scale = response_scale(reference.golden);
+    expect_close(batch.golden, reference.golden, scale,
+                 context + " resonant golden");
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      expect_close(batch.responses[i], reference.responses[i], scale,
+                   context + " resonant " + faults[i].label());
+    }
   }
 }
 

@@ -402,5 +402,53 @@ TEST(SparseFactorization, SlotRefillMatchesCooRefactor) {
   EXPECT_EQ(by_coo.solve(b), by_slot.solve(b));
 }
 
+/// A paired refactor is the two single ones, bit for bit, and it refuses
+/// when either value set's frozen pivot collapses; refactoring the two
+/// alone then tells which one broke down.
+TEST(SparseFactorization, PairedRefactorMatchesSinglesAndThrowsForEitherSlot) {
+  const std::size_t n = 40;
+  const CooMatrix<C> first = random_complex_system(n, 31);
+  const SparseFactorization<C> analysis(first, std::vector<std::size_t>{0, 7});
+  auto fill = [&](SparseFactorization<C>& f, C scale, bool collapse) {
+    std::fill(f.values().begin(), f.values().end(), C{});
+    for (const auto& e : first.entries()) {
+      f.values()[f.slot(e.row, e.col)] += e.value * scale;
+    }
+    // Every entry of row 20 made tiny: its pivot collapses whichever
+    // column it eliminates.
+    if (collapse) {
+      for (const auto& e : first.entries()) {
+        if (e.row == 20) f.values()[f.slot(e.row, e.col)] *= 1e-30;
+      }
+    }
+  };
+  std::vector<C> b(n, C(0.25, 1.0));
+  SparseFactorization<C> a = analysis, c = analysis;
+  SparseFactorization<C> single_a = analysis, single_c = analysis;
+  fill(a, C(1.5, 0.5), false);
+  fill(c, C(0.5, -2.0), false);
+  fill(single_a, C(1.5, 0.5), false);
+  fill(single_c, C(0.5, -2.0), false);
+  SparseFactorization<C>::refactor_pair(a, c);
+  single_a.refactor();
+  single_c.refactor();
+  EXPECT_EQ(a.solve(b), single_a.solve(b));
+  EXPECT_EQ(c.solve(b), single_c.solve(b));
+
+  for (const bool first_breaks : {true, false}) {
+    fill(a, C(1.5, 0.5), first_breaks);
+    fill(c, C(0.5, -2.0), !first_breaks);
+    EXPECT_THROW(SparseFactorization<C>::refactor_pair(a, c), NumericError)
+        << "first breaks: " << first_breaks;
+    fill(a, C(1.5, 0.5), first_breaks);
+    fill(c, C(0.5, -2.0), !first_breaks);
+    SparseFactorization<C>& broken = first_breaks ? a : c;
+    SparseFactorization<C>& intact = first_breaks ? c : a;
+    EXPECT_THROW(broken.refactor(), NumericError);
+    intact.refactor();
+    EXPECT_EQ(intact.solve(b), (first_breaks ? single_c : single_a).solve(b));
+  }
+}
+
 }  // namespace
 }  // namespace ftdiag::linalg

@@ -14,13 +14,6 @@
 
 namespace ftdiag::net {
 
-namespace {
-std::string next_instance_label() {
-  static std::atomic<std::uint64_t> seq{0};
-  return std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-}
-}  // namespace
-
 /// One queued item for the writer thread: either a frame that is already
 /// encoded (pong, error) or a pending diagnosis whose future the writer
 /// waits on.  FIFO order in this queue *is* the reply order on the wire,
@@ -46,7 +39,33 @@ struct Server::Connection {
 };
 
 Server::Server(service::DiagnosisService& service, ServerOptions options)
-    : service_(service), options_(std::move(options)) {
+    : service_(service),
+      options_(std::move(options)),
+      counters_{
+          .connections_accepted = metrics_.counter(
+              "ftdiag_net_connections_accepted_total", "connections accepted"),
+          .connections_rejected = metrics_.counter(
+              "ftdiag_net_connections_rejected_total",
+              "connections rejected over max_connections"),
+          .connections_open = metrics_.gauge("ftdiag_net_connections_open",
+                                             "connections open right now"),
+          .requests_received = metrics_.counter(
+              "ftdiag_net_requests_received_total",
+              "diagnose frames received, malformed included"),
+          .replies_sent = metrics_.counter("ftdiag_net_replies_sent_total",
+                                           "diagnosis reply frames sent"),
+          .error_frames_sent = metrics_.counter(
+              "ftdiag_net_error_frames_sent_total",
+              "error frames sent, kOverloaded sheds included"),
+          .overloaded_sent = metrics_.counter(
+              "ftdiag_net_overloaded_sent_total",
+              "requests answered with a kOverloaded shed frame"),
+          .protocol_errors = metrics_.counter(
+              "ftdiag_net_protocol_errors_total",
+              "unrecoverable streams closed"),
+          .disconnects = metrics_.counter("ftdiag_net_disconnects_total",
+                                          "connections that ended"),
+      } {
   if (options_.max_inflight == 0) {
     throw ConfigError("net server max_inflight must be positive");
   }
@@ -55,38 +74,6 @@ Server::Server(service::DiagnosisService& service, ServerOptions options)
   }
   listener_ = Listener::bind(options_.host, options_.port);
   port_ = listener_.port();
-  const obs::Labels labels{{"instance", next_instance_label()}};
-  collector_ = obs::Registry::global().add_collector(
-      [this, labels](obs::SampleSink& sink) {
-        const ServerStats s = stats();
-        sink.counter("ftdiag_net_connections_accepted_total",
-                     static_cast<double>(s.connections_accepted), labels,
-                     "connections accepted");
-        sink.counter("ftdiag_net_connections_rejected_total",
-                     static_cast<double>(s.connections_rejected), labels,
-                     "connections rejected over max_connections");
-        sink.gauge("ftdiag_net_connections_open",
-                   static_cast<double>(s.connections_open), labels,
-                   "connections open right now");
-        sink.counter("ftdiag_net_requests_received_total",
-                     static_cast<double>(s.requests_received), labels,
-                     "diagnose frames received, malformed included");
-        sink.counter("ftdiag_net_replies_sent_total",
-                     static_cast<double>(s.replies_sent), labels,
-                     "diagnosis reply frames sent");
-        sink.counter("ftdiag_net_error_frames_sent_total",
-                     static_cast<double>(s.error_frames_sent), labels,
-                     "error frames sent, kOverloaded sheds included");
-        sink.counter("ftdiag_net_overloaded_sent_total",
-                     static_cast<double>(s.overloaded_sent), labels,
-                     "requests answered with a kOverloaded shed frame");
-        sink.counter("ftdiag_net_protocol_errors_total",
-                     static_cast<double>(s.protocol_errors), labels,
-                     "unrecoverable streams closed");
-        sink.counter("ftdiag_net_disconnects_total",
-                     static_cast<double>(s.disconnects), labels,
-                     "connections that ended");
-      });
   accept_thread_ = std::thread([this] { accept_loop(); });
   log::info("net: listening",
             {{"host", options_.host}, {"port", std::uint64_t{port_}}});
@@ -398,18 +385,16 @@ void Server::reap_finished(bool all) {
 }
 
 ServerStats Server::stats() const {
-  ServerStats stats;
-  stats.connections_accepted = counters_.connections_accepted.value();
-  stats.connections_rejected = counters_.connections_rejected.value();
-  stats.connections_open =
-      static_cast<std::size_t>(counters_.connections_open.value());
-  stats.requests_received = counters_.requests_received.value();
-  stats.replies_sent = counters_.replies_sent.value();
-  stats.error_frames_sent = counters_.error_frames_sent.value();
-  stats.overloaded_sent = counters_.overloaded_sent.value();
-  stats.protocol_errors = counters_.protocol_errors.value();
-  stats.disconnects = counters_.disconnects.value();
-  return stats;
+  return {.connections_accepted = counters_.connections_accepted.value(),
+          .connections_rejected = counters_.connections_rejected.value(),
+          .connections_open =
+              static_cast<std::size_t>(counters_.connections_open.value()),
+          .requests_received = counters_.requests_received.value(),
+          .replies_sent = counters_.replies_sent.value(),
+          .error_frames_sent = counters_.error_frames_sent.value(),
+          .overloaded_sent = counters_.overloaded_sent.value(),
+          .protocol_errors = counters_.protocol_errors.value(),
+          .disconnects = counters_.disconnects.value()};
 }
 
 void Server::drain(std::chrono::milliseconds grace) {
@@ -446,7 +431,6 @@ void Server::stop() {
   listener_.close();  // wakes the blocked accept()
   if (accept_thread_.joinable()) accept_thread_.join();
   reap_finished(true);
-  collector_.release();
   const ServerStats s = stats();
   log::info("net: server stopped",
             {{"requests", s.requests_received},

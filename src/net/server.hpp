@@ -60,9 +60,9 @@ struct ServerOptions {
 /// Monotonic serving counters (connections_open is a gauge).  On a
 /// connection that drains cleanly, every received diagnose frame is
 /// answered exactly once, so `requests_received == replies_sent +
-/// error_frames_sent` once `connections_open` returns to 0.  The same
-/// counters are exported process-wide as `ftdiag_net_*` through an
-/// `obs::Registry` collector.
+/// error_frames_sent` once `connections_open` returns to 0.  A view of
+/// the server's `ftdiag_net_*{instance="N"}` registry series, which stay
+/// exported until the server is destroyed.
 struct ServerStats {
   std::size_t connections_accepted = 0;
   std::size_t connections_rejected = 0;  ///< over max_connections
@@ -128,21 +128,20 @@ private:
   std::mutex connections_mutex_;
   std::list<std::unique_ptr<Connection>> connections_;
 
-  /// Instance-owned obs primitives backing the public ServerStats view;
-  /// the collector below mirrors them into Registry::global() snapshots.
+  /// This server's `ftdiag_net_*` series; ServerStats reads them back.
+  obs::Registry::Group metrics_;
   struct Counters {
-    obs::Counter connections_accepted;
-    obs::Counter connections_rejected;
-    obs::Gauge connections_open;
-    obs::Counter requests_received;
-    obs::Counter replies_sent;
-    obs::Counter error_frames_sent;
-    obs::Counter overloaded_sent;
-    obs::Counter protocol_errors;
-    obs::Counter disconnects;
+    obs::Counter& connections_accepted;
+    obs::Counter& connections_rejected;
+    obs::Gauge& connections_open;
+    obs::Counter& requests_received;
+    obs::Counter& replies_sent;
+    obs::Counter& error_frames_sent;
+    obs::Counter& overloaded_sent;
+    obs::Counter& protocol_errors;
+    obs::Counter& disconnects;
   };
-  mutable Counters counters_;
-  obs::Registry::CollectorHandle collector_;
+  Counters counters_;
 };
 
 }  // namespace ftdiag::net

@@ -139,7 +139,7 @@ double HistogramSnapshot::quantile(double q) const {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot / SampleSink
+// Snapshot
 
 const Sample* Snapshot::find(const std::string& name,
                              const Labels& labels) const {
@@ -151,27 +151,6 @@ const Sample* Snapshot::find(const std::string& name,
     return &s;
   }
   return nullptr;
-}
-
-void SampleSink::counter(std::string name, double value, Labels labels,
-                         std::string help) {
-  normalize(labels);
-  out_.push_back(Sample{std::move(name), std::move(help), std::move(labels),
-                        Sample::Kind::kCounter, value, {}});
-}
-
-void SampleSink::gauge(std::string name, double value, Labels labels,
-                       std::string help) {
-  normalize(labels);
-  out_.push_back(Sample{std::move(name), std::move(help), std::move(labels),
-                        Sample::Kind::kGauge, value, {}});
-}
-
-void SampleSink::histogram(std::string name, HistogramSnapshot snap,
-                           Labels labels, std::string help) {
-  normalize(labels);
-  out_.push_back(Sample{std::move(name), std::move(help), std::move(labels),
-                        Sample::Kind::kHistogram, 0.0, std::move(snap)});
 }
 
 // ---------------------------------------------------------------------------
@@ -238,62 +217,72 @@ Histogram& Registry::histogram(const std::string& name,
   return *e.histogram;
 }
 
-Registry::CollectorHandle Registry::add_collector(
-    std::function<void(SampleSink&)> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t id = next_collector_id_++;
-  collectors_.emplace(id, std::move(fn));
-  return CollectorHandle(this, id);
-}
-
-void Registry::CollectorHandle::release() {
-  if (reg_ == nullptr) return;
-  std::lock_guard<std::mutex> lock(reg_->mutex_);
-  reg_->collectors_.erase(id_);
-  reg_ = nullptr;
-  id_ = 0;
-}
-
 std::size_t Registry::metric_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.size();
 }
 
 Snapshot Registry::snapshot() const {
-  // Copy the collector callbacks out so a collector that (indirectly)
-  // touches the registry cannot deadlock against snapshot().
-  std::vector<std::function<void(SampleSink&)>> collectors;
   Snapshot snap;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    snap.samples.reserve(metrics_.size());
-    for (const auto& [key, entry] : metrics_) {
-      Sample s;
-      s.name = key.first;
-      s.labels = key.second;
-      s.help = entry.help;
-      s.kind = entry.kind;
-      switch (entry.kind) {
-        case Sample::Kind::kCounter:
-          s.value = entry.counter
-                        ? static_cast<double>(entry.counter->value())
-                        : static_cast<double>(entry.sharded->value());
-          break;
-        case Sample::Kind::kGauge:
-          s.value = static_cast<double>(entry.gauge->value());
-          break;
-        case Sample::Kind::kHistogram:
-          s.histogram = entry.histogram->snapshot();
-          break;
-      }
-      snap.samples.push_back(std::move(s));
+  std::lock_guard<std::mutex> lock(mutex_);
+  snap.samples.reserve(metrics_.size());
+  for (const auto& [key, entry] : metrics_) {
+    Sample s;
+    s.name = key.first;
+    s.labels = key.second;
+    s.help = entry.help;
+    s.kind = entry.kind;
+    switch (entry.kind) {
+      case Sample::Kind::kCounter:
+        s.value = entry.counter ? static_cast<double>(entry.counter->value())
+                                : static_cast<double>(entry.sharded->value());
+        break;
+      case Sample::Kind::kGauge:
+        s.value = static_cast<double>(entry.gauge->value());
+        break;
+      case Sample::Kind::kHistogram:
+        s.histogram = entry.histogram->snapshot();
+        break;
     }
-    collectors.reserve(collectors_.size());
-    for (const auto& [id, fn] : collectors_) collectors.push_back(fn);
+    snap.samples.push_back(std::move(s));
   }
-  SampleSink sink(snap.samples);
-  for (const auto& fn : collectors) fn(sink);
   return snap;
+}
+
+// ---------------------------------------------------------------------------
+// Registry::Group
+
+Registry::Group::Group(Registry& registry) : registry_(registry) {
+  static std::atomic<std::uint64_t> next{0};
+  instance_ = std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
+Registry::Group::~Group() {
+  std::lock_guard<std::mutex> lock(registry_.mutex_);
+  for (const auto& key : series_) registry_.metrics_.erase(key);
+}
+
+Labels Registry::Group::own(const std::string& name, Labels extra) {
+  extra.emplace_back("instance", instance_);
+  normalize(extra);
+  series_.emplace_back(name, extra);
+  return extra;
+}
+
+Counter& Registry::Group::counter(const std::string& name,
+                                  const std::string& help, Labels extra) {
+  return registry_.counter(name, own(name, std::move(extra)), help);
+}
+
+Gauge& Registry::Group::gauge(const std::string& name, const std::string& help,
+                              Labels extra) {
+  return registry_.gauge(name, own(name, std::move(extra)), help);
+}
+
+Histogram& Registry::Group::histogram(const std::string& name,
+                                      std::vector<double> bounds,
+                                      const std::string& help) {
+  return registry_.histogram(name, std::move(bounds), own(name, {}), help);
 }
 
 }  // namespace ftdiag::obs

@@ -11,12 +11,16 @@
 ///    path is a single relaxed `fetch_add` on a cache-line-aligned
 ///    atomic.  Contended call sites use `ShardedCounter`, which spreads
 ///    increments over per-thread cache-line shards and sums on read.
-///  * Counters and gauges are *always* live: several public stats
-///    structs (`ServerStats`, `ServiceStats`, `StoreStats`) are views
-///    over them, so disabling them would change observable behaviour.
-///    Only the timing layer (histogram observation, spans, traces) is
-///    gated by `obs::enabled()` / the `FTDIAG_OBS` env knob so benches
-///    can measure instrumentation overhead in a single binary.
+///  * The registry is the only place a metric lives.  Objects with
+///    per-instance stats (`net::Server`, `service::DiagnosisService`,
+///    `service::DictionaryStore`) register their series through a
+///    `Registry::Group`, which adds an `instance` label and erases them
+///    when the object dies.  Counters and gauges are *always* live: the
+///    public stats structs (`ServerStats`, `ServiceStats`, `StoreStats`)
+///    are reads of them.  Only the timing layer (histogram observation,
+///    spans, traces) is gated by `obs::enabled()` / the `FTDIAG_OBS` env
+///    knob so benches can measure instrumentation overhead in a single
+///    binary.
 ///  * The global registry is intentionally leaked: worker threads and
 ///    process-wide singletons (e.g. `par::ThreadPool::global()`) may
 ///    touch metrics during static destruction, and a leaked registry
@@ -25,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -231,8 +234,7 @@ class HistogramBatch {
   bool dirty_ = false;
 };
 
-/// One exported time series.  Collectors and registry-owned metrics both
-/// reduce to a flat list of these at snapshot time.
+/// One exported time series, as read at snapshot time.
 struct Sample {
   enum class Kind { kCounter, kGauge, kHistogram };
   std::string name;
@@ -251,27 +253,10 @@ struct Snapshot {
                                    const Labels& labels = {}) const;
 };
 
-/// Collectors let objects with instance-owned stats (a `net::Server`, a
-/// `service::DiagnosisService`) publish into the registry snapshot
-/// without moving their counters into process-wide storage — the public
-/// per-instance stats structs keep their exact semantics.
-class SampleSink {
- public:
-  explicit SampleSink(std::vector<Sample>& out) : out_(out) {}
-  void counter(std::string name, double value, Labels labels = {},
-               std::string help = "");
-  void gauge(std::string name, double value, Labels labels = {},
-             std::string help = "");
-  void histogram(std::string name, HistogramSnapshot snap, Labels labels = {},
-                 std::string help = "");
-
- private:
-  std::vector<Sample>& out_;
-};
-
 /// Named registry of metrics.  Lookup (`counter()` / `gauge()` /
 /// `histogram()`) takes a mutex and is meant for start-up; the returned
-/// references stay valid and lock-free for the registry's lifetime.
+/// references stay valid and lock-free for the registry's lifetime (a
+/// `Group`'s series: for the group's).
 class Registry {
  public:
   Registry() = default;
@@ -294,40 +279,14 @@ class Registry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        Labels labels = {}, const std::string& help = "");
 
-  /// RAII deregistration for `add_collector`.
-  class CollectorHandle {
-   public:
-    CollectorHandle() = default;
-    CollectorHandle(CollectorHandle&& other) noexcept { swap(other); }
-    CollectorHandle& operator=(CollectorHandle&& other) noexcept {
-      release();
-      swap(other);
-      return *this;
-    }
-    ~CollectorHandle() { release(); }
-    /// Deregister now (idempotent).
-    void release();
+  /// RAII owner of one object's instance-labelled series (below).
+  class Group;
 
-   private:
-    friend class Registry;
-    CollectorHandle(Registry* reg, std::uint64_t id) : reg_(reg), id_(id) {}
-    void swap(CollectorHandle& other) noexcept {
-      std::swap(reg_, other.reg_);
-      std::swap(id_, other.id_);
-    }
-    Registry* reg_ = nullptr;
-    std::uint64_t id_ = 0;
-  };
-
-  /// Register a callback invoked at snapshot time to append samples.
-  /// The callback must stay valid until the handle is released.
-  [[nodiscard]] CollectorHandle add_collector(
-      std::function<void(SampleSink&)> fn);
-
-  /// Number of registered metric series (not counting collectors).
+  /// Number of registered metric series.
   [[nodiscard]] std::size_t metric_count() const;
 
-  /// Flatten every metric plus every collector into samples.
+  /// Flatten every metric into samples, reading each value under the
+  /// registry lock.
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
@@ -346,8 +305,34 @@ class Registry {
   // Keyed by (name, normalised labels); std::map keeps exposition output
   // deterministically sorted.
   std::map<std::pair<std::string, Labels>, Entry> metrics_;
-  std::map<std::uint64_t, std::function<void(SampleSink&)>> collectors_;
-  std::uint64_t next_collector_id_ = 1;
+};
+
+/// The series of one object with per-instance stats, created through the
+/// get-or-create path with an `instance` label unique in the process.
+/// The destructor erases exactly those series under the lock `snapshot()`
+/// reads values under, so a scrape never reads a destroyed series.  The
+/// owner must stop every thread that bumps the references first.
+class Registry::Group {
+ public:
+  explicit Group(Registry& registry = Registry::global());
+  ~Group();
+  Group(const Group&) = delete;
+  Group& operator=(const Group&) = delete;
+
+  Counter& counter(const std::string& name, const std::string& help,
+                   Labels extra = {});
+  Gauge& gauge(const std::string& name, const std::string& help,
+               Labels extra = {});
+  Histogram& histogram(const std::string& name, std::vector<double> bounds,
+                       const std::string& help);
+
+ private:
+  /// `extra` plus the instance label, normalised; remembered for ~Group.
+  Labels own(const std::string& name, Labels extra);
+
+  Registry& registry_;
+  std::string instance_;
+  std::vector<std::pair<std::string, Labels>> series_;
 };
 
 }  // namespace ftdiag::obs

@@ -1,7 +1,6 @@
 #include "service/diagnosis_service.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <utility>
 
@@ -13,15 +12,6 @@
 #include "util/threads.hpp"
 
 namespace ftdiag::service {
-
-namespace {
-/// Distinguishes collector output when several services coexist in one
-/// process (tests, benches).
-std::string next_instance_label() {
-  static std::atomic<std::uint64_t> seq{0};
-  return std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
-}
-}  // namespace
 
 std::size_t ServiceOptions::resolved_workers() const {
   if (workers != 0) return workers;
@@ -41,52 +31,45 @@ void ServiceOptions::check() const {
 }
 
 DiagnosisService::DiagnosisService(ServiceOptions options)
-    : options_(options) {
+    : options_(options),
+      counters_{
+          .submitted = metrics_.counter(
+              "ftdiag_service_submitted_total",
+              "requests accepted into the service queue"),
+          .completed = metrics_.counter("ftdiag_service_completed_total",
+                                        "requests answered successfully"),
+          .failed = metrics_.counter("ftdiag_service_failed_total",
+                                     "requests completed with an error"),
+          .batches = metrics_.counter("ftdiag_service_batches_total",
+                                      "micro-batches dispatched"),
+          .batched_requests = metrics_.counter(
+              "ftdiag_service_batched_requests_total",
+              "requests coalesced across all batches"),
+          .queue_full_waits = metrics_.counter(
+              "ftdiag_service_queue_full_waits_total",
+              "submits that hit queue backpressure"),
+          .shed = metrics_.counter(
+              "ftdiag_service_shed_total",
+              "submits shed over the overload high-water mark"),
+          .deadline_expired = metrics_.counter(
+              "ftdiag_service_deadline_expired_total",
+              "requests failed on an expired deadline"),
+          .queue_depth = metrics_.gauge(
+              "ftdiag_service_queue_depth",
+              "requests waiting in the queue right now"),
+          .largest_batch = metrics_.gauge(
+              "ftdiag_service_largest_batch",
+              "most requests coalesced into one batch"),
+          .latency_us = metrics_.histogram(
+              "ftdiag_service_latency_us", obs::Histogram::latency_us_bounds(),
+              "submit -> reply latency in microseconds"),
+      } {
   options_.check();
   worker_count_ = options_.resolved_workers();
   workers_.reserve(worker_count_);
   for (std::size_t i = 0; i < worker_count_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  const obs::Labels labels{{"instance", next_instance_label()}};
-  collector_ = obs::Registry::global().add_collector(
-      [this, labels](obs::SampleSink& sink) {
-        const ServiceStats s = stats();
-        sink.counter("ftdiag_service_submitted_total",
-                     static_cast<double>(s.submitted), labels,
-                     "requests accepted into the service queue");
-        sink.counter("ftdiag_service_completed_total",
-                     static_cast<double>(s.completed), labels,
-                     "requests answered successfully");
-        sink.counter("ftdiag_service_failed_total",
-                     static_cast<double>(s.failed), labels,
-                     "requests completed with an error");
-        sink.counter("ftdiag_service_batches_total",
-                     static_cast<double>(s.batches), labels,
-                     "micro-batches dispatched");
-        sink.counter("ftdiag_service_batched_requests_total",
-                     static_cast<double>(s.batched_requests), labels,
-                     "requests coalesced across all batches");
-        sink.counter("ftdiag_service_queue_full_waits_total",
-                     static_cast<double>(s.queue_full_waits), labels,
-                     "submits that hit queue backpressure");
-        sink.counter("ftdiag_service_shed_total",
-                     static_cast<double>(s.shed), labels,
-                     "submits shed over the overload high-water mark");
-        sink.counter("ftdiag_service_deadline_expired_total",
-                     static_cast<double>(s.deadline_expired), labels,
-                     "requests failed on an expired deadline");
-        sink.gauge("ftdiag_service_queue_depth",
-                   static_cast<double>(s.queue_depth), labels,
-                   "requests waiting in the queue right now");
-        sink.gauge("ftdiag_service_largest_batch",
-                   static_cast<double>(s.largest_batch), labels,
-                   "most requests coalesced into one batch");
-        sink.gauge("ftdiag_service_mean_batch", s.mean_batch, labels,
-                   "batched_requests / batches");
-        sink.histogram("ftdiag_service_latency_us", latency_us_.snapshot(),
-                       labels, "submit -> reply latency in microseconds");
-      });
   log::debug("service: started",
              {{"workers", worker_count_},
               {"queue_capacity", options_.queue_capacity},
@@ -155,6 +138,7 @@ std::future<DiagnosisReply> DiagnosisService::submit(
     // failed never runs ahead of submitted.
     counters_.submitted.inc();
     queue_.push_back(std::move(pending));
+    counters_.queue_depth.add(1);
   }
   queue_cv_.notify_one();
   return future;
@@ -187,6 +171,8 @@ void DiagnosisService::worker_loop() {
         ++it;
       }
     }
+
+    counters_.queue_depth.sub(static_cast<std::int64_t>(batch.size()));
 
     // If other circuits' requests remain queued, we may have absorbed the
     // notify that announced them — pass the baton to an idle worker
@@ -230,10 +216,12 @@ void DiagnosisService::process_batch(std::vector<Pending> batch) {
   const std::optional<Session> session =
       find_session(batch.front().request.circuit);
   if (!session) {
-    auto error = std::make_exception_ptr(ConfigError(
-        "no session registered for circuit '" +
-        batch.front().request.circuit + "'"));
-    for (auto& pending : batch) fail(pending, error);
+    const std::string message = "no session registered for circuit '" +
+                                batch.front().request.circuit + "'";
+    // One exception per request: each reply is read on its own thread.
+    for (auto& pending : batch) {
+      fail(pending, std::make_exception_ptr(ConfigError(message)));
+    }
     return;
   }
 
@@ -294,7 +282,7 @@ void DiagnosisService::process_batch(std::vector<Pending> batch) {
   // Replies for a batch land back to back, so the per-request latency
   // observations are accumulated locally and merged into the histogram
   // with one atomic pass when the accumulator goes out of scope.
-  obs::HistogramBatch latency_batch(latency_us_);
+  obs::HistogramBatch latency_batch(counters_.latency_us);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (spans[i].failed) continue;
     DiagnosisReply reply;
@@ -314,7 +302,7 @@ void DiagnosisService::finish(Pending& pending, DiagnosisReply reply,
   if (latency_sink != nullptr) {
     latency_sink->observe(us > 0.0 ? us : 0.0);
   } else {
-    latency_us_.observe(us > 0.0 ? us : 0.0);
+    counters_.latency_us.observe(us > 0.0 ? us : 0.0);
   }
   // Count before completing the future, so a caller that joined its
   // reply always observes the request in the counters.
@@ -324,15 +312,12 @@ void DiagnosisService::finish(Pending& pending, DiagnosisReply reply,
 
 void DiagnosisService::fail(Pending& pending, std::exception_ptr error) {
   counters_.failed.inc();
-  pending.promise.set_exception(std::move(error));
+  // Released at once: the future's reader then usually frees the error.
+  std::promise<DiagnosisReply>(std::move(pending.promise))
+      .set_exception(std::move(error));
 }
 
 ServiceStats DiagnosisService::stats() const {
-  std::size_t depth;
-  {
-    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
-    depth = queue_.size();
-  }
   ServiceStats snapshot;
   // Outcomes first: a request counts as submitted before it can complete,
   // so this order keeps completed + failed from reading ahead of it.
@@ -346,12 +331,13 @@ ServiceStats DiagnosisService::stats() const {
   snapshot.queue_full_waits = counters_.queue_full_waits.value();
   snapshot.shed = counters_.shed.value();
   snapshot.deadline_expired = counters_.deadline_expired.value();
-  snapshot.queue_depth = depth;
+  snapshot.queue_depth =
+      static_cast<std::size_t>(counters_.queue_depth.value());
   if (snapshot.batches > 0) {
     snapshot.mean_batch = static_cast<double>(snapshot.batched_requests) /
                           static_cast<double>(snapshot.batches);
   }
-  const obs::HistogramSnapshot latency = latency_us_.snapshot();
+  const obs::HistogramSnapshot latency = counters_.latency_us.snapshot();
   if (latency.count > 0) {
     snapshot.p50_latency_us = latency.quantile(0.50);
     snapshot.p95_latency_us = latency.quantile(0.95);
@@ -372,8 +358,6 @@ void DiagnosisService::shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // Stop exporting once dead; the public stats() keeps working.
-  collector_.release();
   const ServiceStats s = stats();
   log::debug("service: shutdown",
              {{"completed", s.completed},

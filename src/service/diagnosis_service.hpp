@@ -74,9 +74,9 @@ struct DiagnosisReply {
 /// artifact tiers).  Latency percentiles are tracked with a
 /// fixed-boundary `obs::Histogram` over 1-2-5 microsecond decades, so
 /// p50/p95/p99 are interpolated estimates within the matching bucket
-/// rather than power-of-two bucket upper bounds.  The same counters are
-/// published process-wide as `ftdiag_service_*` through a registry
-/// collector (see `src/obs/README.md`).
+/// rather than power-of-two bucket upper bounds.  A view of the service's
+/// `ftdiag_service_*{instance="N"}` series, exported until the service
+/// dies; `mean_batch` is derived from the two batch counters.
 struct ServiceStats {
   std::size_t submitted = 0;        ///< requests accepted into the queue
   std::size_t completed = 0;        ///< requests answered successfully
@@ -151,8 +151,8 @@ private:
       const std::string& circuit) const;
   /// Completes `pending`'s future.  When `latency_sink` is given the
   /// latency sample goes into that batch-local accumulator instead of
-  /// straight into `latency_us_` (one atomic pass per batch, not per
-  /// request).
+  /// straight into the latency histogram (one atomic pass per batch, not
+  /// per request).
   void finish(Pending& pending, DiagnosisReply reply,
               obs::HistogramBatch* latency_sink = nullptr);
   void fail(Pending& pending, std::exception_ptr error);
@@ -171,26 +171,25 @@ private:
 
   std::vector<std::thread> workers_;
 
-  /// Lock-free counters backing the public ServiceStats view, so the
-  /// request path takes no lock beyond the queue's own.
+  /// This service's `ftdiag_service_*` series; ServiceStats reads them
+  /// back.  Lock-free, so the request path takes no lock beyond the
+  /// queue's own (queue_depth moves under that lock).
+  obs::Registry::Group metrics_;
   struct Counters {
-    obs::Counter submitted;
-    obs::Counter completed;
-    obs::Counter failed;
-    obs::Counter batches;
-    obs::Counter batched_requests;
-    obs::Counter queue_full_waits;
-    obs::Counter shed;
-    obs::Counter deadline_expired;
-    obs::Gauge largest_batch;
+    obs::Counter& submitted;
+    obs::Counter& completed;
+    obs::Counter& failed;
+    obs::Counter& batches;
+    obs::Counter& batched_requests;
+    obs::Counter& queue_full_waits;
+    obs::Counter& shed;
+    obs::Counter& deadline_expired;
+    obs::Gauge& queue_depth;
+    obs::Gauge& largest_batch;
+    /// submit -> reply latency in microseconds.
+    obs::Histogram& latency_us;
   };
   Counters counters_;
-  /// submit -> reply latency in microseconds; lock-free observe, shared
-  /// between the public percentile fields and the obs collector.
-  obs::Histogram latency_us_{obs::Histogram::latency_us_bounds()};
-  /// Publishes this instance's stats into Registry::global() snapshots;
-  /// released on shutdown so a dead service stops exporting.
-  obs::Registry::CollectorHandle collector_;
 };
 
 }  // namespace ftdiag::service

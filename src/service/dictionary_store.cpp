@@ -5,6 +5,7 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -22,51 +23,7 @@ namespace ftdiag::service {
 
 namespace {
 
-/// Process-wide store metrics (`ftdiag_store_*`), accumulated across
-/// every DictionaryStore in the process; the per-instance StoreStats
-/// struct keeps its exact local counts.
-struct StoreMetrics {
-  obs::Counter& memory_hits;
-  obs::Counter& disk_hits;
-  obs::Counter& builds;
-  obs::Counter& quarantine_tier;
-  obs::Counter& shared_waits;
-  obs::Counter& evictions;
-  obs::Counter& persisted;
-  obs::Counter& invalid_files;
-  obs::Counter& quarantined;
-  obs::Gauge& bytes_resident;
-
-  static StoreMetrics& get() {
-    static StoreMetrics* m = [] {
-      obs::Registry& reg = obs::Registry::global();
-      const char* help = "dictionary fetches answered by this tier";
-      return new StoreMetrics{
-          reg.counter("ftdiag_store_requests_total", {{"tier", "memory"}},
-                      help),
-          reg.counter("ftdiag_store_requests_total", {{"tier", "disk"}},
-                      help),
-          reg.counter("ftdiag_store_requests_total", {{"tier", "build"}},
-                      help),
-          reg.counter("ftdiag_store_requests_total", {{"tier", "quarantine"}},
-                      help),
-          reg.counter("ftdiag_store_shared_waits_total", {},
-                      "fetches that joined another in-flight load"),
-          reg.counter("ftdiag_store_evictions_total", {},
-                      "dictionaries evicted by the per-shard LRU"),
-          reg.counter("ftdiag_store_persisted_total", {},
-                      "dictionaries written to the disk tier"),
-          reg.counter("ftdiag_store_invalid_files_total", {},
-                      "on-disk artifacts rejected during validation"),
-          reg.counter("ftdiag_store_quarantined_total", {},
-                      "rejected artifacts quarantined to *.corrupt"),
-          reg.gauge("ftdiag_store_bytes_resident", {},
-                    "approximate bytes of dictionaries held in memory"),
-      };
-    }();
-    return *m;
-  }
-};
+constexpr const char* kTierHelp = "dictionary fetches answered by this tier";
 
 /// Response-plane payload estimate: (faults + golden) x frequencies
 /// complex doubles.  Labels/metadata are noise next to the planes.
@@ -104,7 +61,35 @@ struct DictionaryStore::Shard {
 };
 
 DictionaryStore::DictionaryStore(StoreOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      counters_{
+          .memory_hits = metrics_.counter("ftdiag_store_requests_total",
+                                          kTierHelp, {{"tier", "memory"}}),
+          .disk_hits = metrics_.counter("ftdiag_store_requests_total",
+                                        kTierHelp, {{"tier", "disk"}}),
+          .builds = metrics_.counter("ftdiag_store_requests_total", kTierHelp,
+                                     {{"tier", "build"}}),
+          .quarantine_tier = metrics_.counter("ftdiag_store_requests_total",
+                                              kTierHelp,
+                                              {{"tier", "quarantine"}}),
+          .shared_waits = metrics_.counter(
+              "ftdiag_store_shared_waits_total",
+              "fetches that joined another in-flight load"),
+          .evictions = metrics_.counter(
+              "ftdiag_store_evictions_total",
+              "dictionaries evicted by the per-shard LRU"),
+          .persisted = metrics_.counter("ftdiag_store_persisted_total",
+                                        "dictionaries written to the disk tier"),
+          .invalid_files = metrics_.counter(
+              "ftdiag_store_invalid_files_total",
+              "on-disk artifacts rejected during validation"),
+          .quarantined = metrics_.counter(
+              "ftdiag_store_quarantined_total",
+              "rejected artifacts quarantined to *.corrupt"),
+          .bytes_resident = metrics_.gauge(
+              "ftdiag_store_bytes_resident",
+              "approximate bytes of dictionaries held in memory"),
+      } {
   options_.check();
   per_shard_capacity_ =
       std::max<std::size_t>(1, options_.capacity / options_.shards);
@@ -161,17 +146,13 @@ DictionaryPtr DictionaryStore::get(const circuits::CircuitUnderTest& cut,
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       it->second.tick = ++shard.clock;
-      StoreMetrics::get().memory_hits.inc();
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.memory_hits;
+      counters_.memory_hits.inc();
       return it->second.dictionary;
     }
     auto inflight = shard.inflight.find(key);
     if (inflight != shard.inflight.end()) {
       joined = inflight->second;
-      StoreMetrics::get().shared_waits.inc();
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.shared_waits;
+      counters_.shared_waits.inc();
     } else {
       shard.inflight.emplace(key, promise.get_future().share());
     }
@@ -220,21 +201,13 @@ DictionaryPtr DictionaryStore::load_or_build(
       }
       auto dictionary = std::make_shared<const faults::FaultDictionary>(
           view.materialize());
-      StoreMetrics::get().disk_hits.inc();
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.disk_hits;
-      }
+      counters_.disk_hits.inc();
       log::info("store: loaded dictionary",
                 {{"path", path}, {"faults", dictionary->fault_count()}});
       return dictionary;
     } catch (const Error& e) {
-      StoreMetrics::get().invalid_files.inc();
-      StoreMetrics::get().quarantine_tier.inc();
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.invalid_files;
-      }
+      counters_.invalid_files.inc();
+      counters_.quarantine_tier.inc();
       // Quarantine rather than silently rebuild over the evidence: the
       // corrupt image is moved to `<name>.fdx.corrupt` (replacing any
       // older quarantine) so a crash / bitrot incident stays inspectable,
@@ -244,11 +217,7 @@ DictionaryPtr DictionaryStore::load_or_build(
       std::error_code ec;
       std::filesystem::remove(quarantine, ec);
       std::filesystem::rename(path, quarantine, ec);
-      if (!ec) {
-        StoreMetrics::get().quarantined.inc();
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.quarantined;
-      }
+      if (!ec) counters_.quarantined.inc();
       log::warn("store: quarantined invalid artifact",
                 {{"path", path},
                  {"quarantine", ec ? "failed: " + ec.message() : quarantine},
@@ -260,11 +229,7 @@ DictionaryPtr DictionaryStore::load_or_build(
   auto dictionary = std::make_shared<const faults::FaultDictionary>(
       faults::FaultDictionary::build(
           cut, faults::FaultUniverse::over_testable(cut, spec), sim));
-  StoreMetrics::get().builds.inc();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.builds;
-  }
+  counters_.builds.inc();
   if (!path.empty() && options_.persist) {
     try {
       std::filesystem::create_directories(options_.root_dir);
@@ -276,11 +241,7 @@ DictionaryPtr DictionaryStore::load_or_build(
       io::save_dictionary_binary(image, *dictionary, key);
       if (!image) throw Error("failed serializing dictionary for '" + path + "'");
       io::write_file_durable(path, image.view());
-      StoreMetrics::get().persisted.inc();
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-        ++stats_.persisted;
-      }
+      counters_.persisted.inc();
       log::info("store: persisted dictionary", {{"path", path}});
     } catch (const std::exception& e) {
       // Persistence is an optimization for the next process; failing to
@@ -294,19 +255,16 @@ DictionaryPtr DictionaryStore::load_or_build(
 
 void DictionaryStore::insert(Shard& shard, const std::string& key,
                              DictionaryPtr dictionary) {
-  StoreMetrics::get().bytes_resident.add(approx_bytes(*dictionary));
+  counters_.bytes_resident.add(approx_bytes(*dictionary));
   shard.entries[key] = {std::move(dictionary), ++shard.clock};
   while (shard.entries.size() > per_shard_capacity_) {
     auto victim = shard.entries.begin();
     for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
       if (it->second.tick < victim->second.tick) victim = it;
     }
-    StoreMetrics::get().bytes_resident.sub(
-        approx_bytes(*victim->second.dictionary));
+    counters_.bytes_resident.sub(approx_bytes(*victim->second.dictionary));
     shard.entries.erase(victim);
-    StoreMetrics::get().evictions.inc();
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.evictions;
+    counters_.evictions.inc();
   }
 }
 
@@ -320,15 +278,21 @@ std::size_t DictionaryStore::cached_count() const {
 }
 
 StoreStats DictionaryStore::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+  return {.memory_hits = counters_.memory_hits.value(),
+          .disk_hits = counters_.disk_hits.value(),
+          .builds = counters_.builds.value(),
+          .shared_waits = counters_.shared_waits.value(),
+          .evictions = counters_.evictions.value(),
+          .persisted = counters_.persisted.value(),
+          .invalid_files = counters_.invalid_files.value(),
+          .quarantined = counters_.quarantined.value()};
 }
 
 void DictionaryStore::clear() {
   for (std::size_t s = 0; s < options_.shards; ++s) {
     std::lock_guard<std::mutex> lock(shards_[s].mutex);
     for (const auto& [key, entry] : shards_[s].entries) {
-      StoreMetrics::get().bytes_resident.sub(approx_bytes(*entry.dictionary));
+      counters_.bytes_resident.sub(approx_bytes(*entry.dictionary));
     }
     shards_[s].entries.clear();
   }

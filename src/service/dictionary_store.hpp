@@ -22,18 +22,19 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "circuits/cut.hpp"
 #include "faults/dictionary.hpp"
 #include "faults/fault_universe.hpp"
 #include "faults/simulation_engine.hpp"
+#include "obs/metrics.hpp"
 #include "service/options.hpp"
 
 namespace ftdiag::service {
 
-/// Where get()s were served from (monotonic, process lifetime).
+/// Where this store's get()s were served from (monotonic): a view of its
+/// `ftdiag_store_*{instance="N"}` series, exported until the store dies.
 struct StoreStats {
   std::size_t memory_hits = 0;   ///< served from the LRU cache
   std::size_t disk_hits = 0;     ///< loaded from a `.fdx` file
@@ -90,8 +91,21 @@ private:
   std::size_t per_shard_capacity_ = 1;
   std::unique_ptr<Shard[]> shards_;
 
-  mutable std::mutex stats_mutex_;
-  StoreStats stats_;
+  /// This store's `ftdiag_store_*` series; StoreStats reads them back.
+  obs::Registry::Group metrics_;
+  struct Counters {
+    obs::Counter& memory_hits;
+    obs::Counter& disk_hits;
+    obs::Counter& builds;
+    obs::Counter& quarantine_tier;
+    obs::Counter& shared_waits;
+    obs::Counter& evictions;
+    obs::Counter& persisted;
+    obs::Counter& invalid_files;
+    obs::Counter& quarantined;
+    obs::Gauge& bytes_resident;
+  };
+  Counters counters_;
 };
 
 }  // namespace ftdiag::service

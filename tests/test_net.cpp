@@ -4,17 +4,24 @@
 /// Session::diagnose_batch, per-request errors must not drop the
 /// connection, and adversarial frames (oversized length prefix, truncated
 /// payload, unknown message type, mid-frame disconnect) must end in an
-/// error frame or a clean close, never a crash.
+/// error frame or a clean close, never a crash.  The last tests pin the
+/// serving stats export: what the registry exports for a server, a
+/// service and a store, that it matches their stats() structs, and that
+/// a scrape racing their destruction reads no freed series.
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,7 +30,10 @@
 #include "circuits/nf_biquad.hpp"
 #include "io/binary.hpp"
 #include "mna/frequency_grid.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "service/diagnosis_service.hpp"
+#include "service/dictionary_store.hpp"
 #include "session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -651,6 +661,262 @@ TEST(NetServer, OptionsValidated) {
   ServerOptions zero_inflight;
   zero_inflight.max_inflight = 0;
   EXPECT_THROW(Server(service, zero_inflight), ConfigError);
+}
+
+// ------------------------------------------------------ stats export
+
+/// Runs `round` 100 times while another thread scrapes the global
+/// registry back to back, as a `kStats` frame does while objects with
+/// per-instance series come and go.  Under ASan a scrape that reads a
+/// destroyed object's series is a heap-use-after-free.
+template <typename Round>
+void scrape_while(Round round) {
+  std::atomic<bool> scraping{false};
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      (void)obs::Registry::global().snapshot();
+      scraping.store(true);
+    }
+  });
+  while (!scraping.load()) std::this_thread::yield();
+  for (int i = 0; i < 100; ++i) round();
+  done.store(true);
+  scraper.join();
+}
+
+TEST(StatsLifetime, ScrapeRacesServiceDestruction) {
+  service::ServiceOptions options;
+  options.workers = 1;
+  scrape_while([&] {
+    auto service = std::make_unique<service::DiagnosisService>(options);
+    service.reset();
+  });
+}
+
+TEST(StatsLifetime, ScrapeRacesStoreDestruction) {
+  scrape_while([] {
+    auto store = std::make_unique<service::DictionaryStore>();
+    store.reset();
+  });
+}
+
+TEST(StatsLifetime, ScrapeRacesServerDestruction) {
+  if (!sockets_supported()) GTEST_SKIP() << "no socket support";
+  service::ServiceOptions service_options;
+  service_options.workers = 1;
+  service::DiagnosisService service(service_options);
+  ServerOptions options;
+  options.port = 0;
+  scrape_while([&] {
+    auto server = std::make_unique<Server>(service, options);
+    server.reset();
+  });
+}
+
+/// `instance` label values on the series whose name starts with `prefix`.
+std::set<std::string> instances(const obs::Snapshot& snapshot,
+                                const std::string& prefix) {
+  std::set<std::string> out;
+  for (const obs::Sample& sample : snapshot.samples) {
+    if (sample.name.rfind(prefix, 0) != 0) continue;
+    for (const auto& [key, value] : sample.labels) {
+      if (key == "instance") out.insert(value);
+    }
+  }
+  return out;
+}
+
+/// The one `prefix` instance present in `after` but not in `before`.
+std::string new_instance(const obs::Snapshot& before,
+                         const obs::Snapshot& after,
+                         const std::string& prefix) {
+  std::set<std::string> added = instances(after, prefix);
+  for (const std::string& old : instances(before, prefix)) added.erase(old);
+  EXPECT_EQ(added.size(), 1u) << prefix;
+  return added.empty() ? "" : *added.begin();
+}
+
+TEST(ServingStats, ExportIsPinnedAndMatchesTheStatsStructs) {
+  if (!sockets_supported()) GTEST_SKIP() << "no socket support";
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+
+  auto cut = circuits::make_paper_cut();
+  cut.dictionary_grid = mna::FrequencyGrid::log_sweep(100.0, 10000.0, 24);
+  faults::DeviationSpec spec;
+  spec.step_fraction = 0.2;
+  auto store = std::make_shared<service::DictionaryStore>();
+  Session session = SessionBuilder(cut).deviations(spec).store(store).build();
+  session.use_vector(core::TestVector{{700.0, 1600.0}});
+  const auto dictionary = store->get(cut, spec);  // build, then memory hit
+  (void)session.dictionary();
+
+  service::DiagnosisService service;
+  service.add_session("paper", session);
+  ServerOptions options;
+  options.port = 0;
+  Server server(service, options);
+  {
+    Client client("127.0.0.1", server.port());
+    Rng rng(11);
+    for (int i = 0; i < 6; ++i) {
+      service::DiagnosisRequest request;
+      request.circuit = i == 5 ? "no_such_circuit" : "paper";
+      request.points.push_back(
+          core::Point{rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)});
+      try {
+        (void)client.diagnose(request);
+      } catch (const RemoteError&) {
+        // the unknown circuit: an error frame
+      }
+    }
+  }
+  // Stopping joins every thread that bumps a counter, so the reads below
+  // are exact; the series stay exported until destruction.
+  server.stop();
+  service.shutdown();
+
+  const obs::Snapshot snapshot = obs::Registry::global().snapshot();
+  const std::string net = new_instance(before, snapshot, "ftdiag_net_");
+  const std::string svc = new_instance(before, snapshot, "ftdiag_service_");
+  const std::string sto = new_instance(before, snapshot, "ftdiag_store_");
+
+  // The series list: (name, kind, label keys) of every per-object family.
+  const std::map<obs::Sample::Kind, std::string> kinds{
+      {obs::Sample::Kind::kCounter, "counter"},
+      {obs::Sample::Kind::kGauge, "gauge"},
+      {obs::Sample::Kind::kHistogram, "histogram"}};
+  std::set<std::string> series;
+  for (const obs::Sample& sample : snapshot.samples) {
+    const std::string& name = sample.name;
+    if (name.rfind("ftdiag_net_", 0) != 0 &&
+        name.rfind("ftdiag_service_", 0) != 0 &&
+        name.rfind("ftdiag_store_", 0) != 0) {
+      continue;
+    }
+    std::string keys;
+    for (const auto& [key, value] : sample.labels) {
+      keys += (keys.empty() ? "" : ",") + key;
+    }
+    series.insert(name + " " + kinds.at(sample.kind) + " " + keys);
+  }
+  const std::set<std::string> expected{
+      "ftdiag_net_connections_accepted_total counter instance",
+      "ftdiag_net_connections_open gauge instance",
+      "ftdiag_net_connections_rejected_total counter instance",
+      "ftdiag_net_disconnects_total counter instance",
+      "ftdiag_net_error_frames_sent_total counter instance",
+      "ftdiag_net_overloaded_sent_total counter instance",
+      "ftdiag_net_protocol_errors_total counter instance",
+      "ftdiag_net_replies_sent_total counter instance",
+      "ftdiag_net_requests_received_total counter instance",
+      "ftdiag_service_batched_requests_total counter instance",
+      "ftdiag_service_batches_total counter instance",
+      "ftdiag_service_completed_total counter instance",
+      "ftdiag_service_deadline_expired_total counter instance",
+      "ftdiag_service_failed_total counter instance",
+      "ftdiag_service_largest_batch gauge instance",
+      "ftdiag_service_latency_us histogram instance",
+      "ftdiag_service_queue_depth gauge instance",
+      "ftdiag_service_queue_full_waits_total counter instance",
+      "ftdiag_service_shed_total counter instance",
+      "ftdiag_service_submitted_total counter instance",
+      "ftdiag_store_bytes_resident gauge instance",
+      "ftdiag_store_evictions_total counter instance",
+      "ftdiag_store_invalid_files_total counter instance",
+      "ftdiag_store_persisted_total counter instance",
+      "ftdiag_store_quarantined_total counter instance",
+      "ftdiag_store_requests_total counter instance,tier",
+      "ftdiag_store_shared_waits_total counter instance",
+  };
+  EXPECT_EQ(series, expected);
+
+  // Values: every exported series equals its stats() field.
+  const auto value = [&](const std::string& name, const std::string& instance,
+                         obs::Labels labels = {}) {
+    labels.emplace_back("instance", instance);
+    const obs::Sample* sample = snapshot.find(name, labels);
+    EXPECT_NE(sample, nullptr) << name;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  const ServerStats n = server.stats();
+  EXPECT_EQ(n.requests_received, 6u);
+  EXPECT_EQ(n.replies_sent, 5u);
+  EXPECT_EQ(n.error_frames_sent, 1u);
+  EXPECT_EQ(value("ftdiag_net_connections_accepted_total", net),
+            n.connections_accepted);
+  EXPECT_EQ(value("ftdiag_net_connections_rejected_total", net),
+            n.connections_rejected);
+  EXPECT_EQ(value("ftdiag_net_connections_open", net), n.connections_open);
+  EXPECT_EQ(value("ftdiag_net_requests_received_total", net),
+            n.requests_received);
+  EXPECT_EQ(value("ftdiag_net_replies_sent_total", net), n.replies_sent);
+  EXPECT_EQ(value("ftdiag_net_error_frames_sent_total", net),
+            n.error_frames_sent);
+  EXPECT_EQ(value("ftdiag_net_overloaded_sent_total", net),
+            n.overloaded_sent);
+  EXPECT_EQ(value("ftdiag_net_protocol_errors_total", net),
+            n.protocol_errors);
+  EXPECT_EQ(value("ftdiag_net_disconnects_total", net), n.disconnects);
+
+  const service::ServiceStats v = service.stats();
+  EXPECT_EQ(v.completed, 5u);
+  EXPECT_EQ(v.failed, 1u);
+  EXPECT_EQ(value("ftdiag_service_submitted_total", svc), v.submitted);
+  EXPECT_EQ(value("ftdiag_service_completed_total", svc), v.completed);
+  EXPECT_EQ(value("ftdiag_service_failed_total", svc), v.failed);
+  EXPECT_EQ(value("ftdiag_service_batches_total", svc), v.batches);
+  EXPECT_EQ(value("ftdiag_service_batched_requests_total", svc),
+            v.batched_requests);
+  EXPECT_EQ(value("ftdiag_service_largest_batch", svc), v.largest_batch);
+  EXPECT_EQ(value("ftdiag_service_queue_full_waits_total", svc),
+            v.queue_full_waits);
+  EXPECT_EQ(value("ftdiag_service_shed_total", svc), v.shed);
+  EXPECT_EQ(value("ftdiag_service_deadline_expired_total", svc),
+            v.deadline_expired);
+  EXPECT_EQ(value("ftdiag_service_queue_depth", svc), v.queue_depth);
+  EXPECT_EQ(value("ftdiag_service_batched_requests_total", svc) /
+                value("ftdiag_service_batches_total", svc),
+            v.mean_batch);
+  const obs::Sample* latency =
+      snapshot.find("ftdiag_service_latency_us", {{"instance", svc}});
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->histogram.quantile(0.50), v.p50_latency_us);
+  EXPECT_EQ(latency->histogram.quantile(0.95), v.p95_latency_us);
+  EXPECT_EQ(latency->histogram.quantile(0.99), v.p99_latency_us);
+
+  const service::StoreStats t = store->stats();
+  EXPECT_EQ(t.builds, 1u);
+  EXPECT_EQ(t.memory_hits, 1u);
+  EXPECT_EQ(value("ftdiag_store_requests_total", sto, {{"tier", "memory"}}),
+            t.memory_hits);
+  EXPECT_EQ(value("ftdiag_store_requests_total", sto, {{"tier", "disk"}}),
+            t.disk_hits);
+  EXPECT_EQ(value("ftdiag_store_requests_total", sto, {{"tier", "build"}}),
+            t.builds);
+  EXPECT_EQ(
+      value("ftdiag_store_requests_total", sto, {{"tier", "quarantine"}}),
+      t.invalid_files);
+  EXPECT_EQ(value("ftdiag_store_shared_waits_total", sto), t.shared_waits);
+  EXPECT_EQ(value("ftdiag_store_evictions_total", sto), t.evictions);
+  EXPECT_EQ(value("ftdiag_store_persisted_total", sto), t.persisted);
+  EXPECT_EQ(value("ftdiag_store_invalid_files_total", sto), t.invalid_files);
+  EXPECT_EQ(value("ftdiag_store_quarantined_total", sto), t.quarantined);
+  EXPECT_EQ(value("ftdiag_store_bytes_resident", sto),
+            (dictionary->fault_count() + 1) *
+                dictionary->frequencies().size() * 2 * sizeof(double));
+
+  // One header per family: with two services alive, every `# TYPE` line
+  // of the text exposition appears once.
+  service::DiagnosisService second;
+  std::istringstream text(obs::render_prometheus(obs::Registry::global()));
+  std::map<std::string, int> headers;
+  for (std::string line; std::getline(text, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) ++headers[line];
+  }
+  EXPECT_EQ(headers.count("# TYPE ftdiag_service_submitted_total counter"),
+            1u);
+  for (const auto& [line, count] : headers) EXPECT_EQ(count, 1) << line;
 }
 
 }  // namespace

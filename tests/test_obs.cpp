@@ -1,7 +1,7 @@
 /// Property tests for the observability layer: counter exactness and
 /// histogram merge correctness under threads, quantile monotonicity and
-/// interpolation, registry label normalisation/cardinality, collector
-/// RAII, stage spans, and both exposition formats.
+/// interpolation, registry label normalisation/cardinality, group
+/// series lifetime, stage spans, and both exposition formats.
 /// The TSan CI job runs this suite to vet the lock-free hot paths.
 #include "obs/metrics.hpp"
 
@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -291,21 +293,67 @@ TEST(ObsRegistry, ConcurrentGetOrCreateIsSafe) {
   }
 }
 
-TEST(ObsRegistry, CollectorAppearsUntilHandleReleased) {
+TEST(ObsRegistry, GroupSeriesLeaveWithTheGroup) {
   obs::Registry registry;
-  {
-    obs::Registry::CollectorHandle handle =
-        registry.add_collector([](obs::SampleSink& sink) {
-          sink.gauge("ftdiag_collected", 7.0, {{"from", "test"}});
-        });
-    // find() points into the snapshot, so the snapshot must outlive it.
-    const obs::Snapshot snap = registry.snapshot();
-    const obs::Sample* sample = snap.find("ftdiag_collected");
-    ASSERT_NE(sample, nullptr);
-    EXPECT_EQ(sample->value, 7.0);
-    EXPECT_EQ(sample->kind, obs::Sample::Kind::kGauge);
+  obs::Counter& shared = registry.counter("ftdiag_test_total", {}, "shared");
+  shared.inc(5);
+  auto first = std::make_unique<obs::Registry::Group>(registry);
+  auto second = std::make_unique<obs::Registry::Group>(registry);
+  obs::Counter& a = first->counter("ftdiag_test_total", "per instance");
+  obs::Counter& b = second->counter("ftdiag_test_total", "per instance");
+  obs::Gauge& tiered =
+      first->gauge("ftdiag_test_depth", "depth", {{"tier", "disk"}});
+  obs::Histogram& latency =
+      second->histogram("ftdiag_test_us", {1.0, 10.0}, "latency");
+  ASSERT_NE(&a, &b);
+  a.inc(1);
+  b.inc(2);
+  tiered.set(3);
+  EXPECT_EQ(latency.bounds().size(), 2u);
+  EXPECT_EQ(registry.metric_count(), 5u);
+
+  // Same name, two groups: two series told apart by their instance label,
+  // next to the unlabelled get-or-create series.
+  const auto series = [&](const std::string& name) {
+    std::map<obs::Labels, double> out;
+    for (const obs::Sample& s : registry.snapshot().samples) {
+      if (s.name == name) out[s.labels] = s.value;
+    }
+    return out;
+  };
+  const auto totals = series("ftdiag_test_total");
+  ASSERT_EQ(totals.size(), 3u);
+  EXPECT_EQ(totals.at({}), 5.0);
+  std::vector<std::string> instances;
+  std::vector<double> values;
+  for (const auto& [labels, value] : totals) {
+    if (labels.empty()) continue;
+    ASSERT_EQ(labels.size(), 1u);
+    EXPECT_EQ(labels[0].first, "instance");
+    instances.push_back(labels[0].second);
+    values.push_back(value);
   }
-  EXPECT_EQ(registry.snapshot().find("ftdiag_collected"), nullptr);
+  ASSERT_EQ(instances.size(), 2u);
+  EXPECT_NE(instances[0], instances[1]);
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<double>{1.0, 2.0}));
+  const auto depth = series("ftdiag_test_depth");
+  ASSERT_EQ(depth.size(), 1u);
+  EXPECT_EQ(depth.begin()->first.size(), 2u);  // instance + tier
+  EXPECT_EQ(depth.begin()->second, 3.0);
+
+  // Each group's series leave with it, and only those.
+  first.reset();
+  EXPECT_EQ(registry.metric_count(), 3u);
+  EXPECT_TRUE(series("ftdiag_test_depth").empty());
+  const auto after_first = series("ftdiag_test_total");
+  ASSERT_EQ(after_first.size(), 2u);
+  EXPECT_EQ(after_first.at({}), 5.0);
+  EXPECT_EQ(after_first.rbegin()->second, 2.0);  // the second group's
+  second.reset();
+  EXPECT_EQ(registry.metric_count(), 1u);
+  EXPECT_EQ(series("ftdiag_test_total").at({}), 5.0);
+  EXPECT_EQ(&registry.counter("ftdiag_test_total"), &shared);
 }
 
 // -------------------------------------------------------------- tracing

@@ -19,6 +19,7 @@
 #include "io/binary.hpp"
 #include "io/dictionary_io.hpp"
 #include "mna/frequency_grid.hpp"
+#include "obs/metrics.hpp"
 #include "session.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -260,6 +261,39 @@ TEST(DictionaryStore, LruEvictionIsDeterministic) {
 
   store.clear();
   EXPECT_EQ(store.cached_count(), 0u);
+}
+
+TEST(DictionaryStore, ResidentBytesLeaveWithTheStore) {
+  // Summed over every store's series, the exported gauge is the bytes the
+  // live stores hold: a destroyed store takes its share with it.
+  const auto exported = [] {
+    double total = 0.0;
+    for (const obs::Sample& s : obs::Registry::global().snapshot().samples) {
+      if (s.name == "ftdiag_store_bytes_resident") total += s.value;
+    }
+    return total;
+  };
+  const auto cut = small_cut();
+  ASSERT_EQ(exported(), 0.0);
+  {
+    DictionaryStore first;
+    const auto dictionary = first.get(cut, coarse_spec());
+    const double bytes = static_cast<double>(
+        (dictionary->fault_count() + 1) * dictionary->frequencies().size() *
+        2 * sizeof(double));
+    EXPECT_EQ(exported(), bytes);
+    {
+      DictionaryStore second;
+      (void)second.get(cut, coarse_spec());
+      EXPECT_EQ(exported(), 2.0 * bytes);
+      second.clear();
+      EXPECT_EQ(exported(), bytes);
+      (void)second.get(cut, coarse_spec());
+      EXPECT_EQ(exported(), 2.0 * bytes);
+    }
+    EXPECT_EQ(exported(), bytes);
+  }
+  EXPECT_EQ(exported(), 0.0);
 }
 
 TEST(DictionaryStore, ConcurrentGetsShareOneBuild) {

@@ -39,6 +39,8 @@
 #include "net/server.hpp"
 #include "linalg/sparse.hpp"
 #include "mna/ac_analysis.hpp"
+#include "mna/stamp_update.hpp"
+#include "mna/sweep_solver.hpp"
 #include "mna/system.hpp"
 #include "obs/metrics.hpp"
 #include "service/diagnosis_service.hpp"
@@ -542,31 +544,83 @@ BENCHMARK_REGISTER_F(TrajectoryFixture, BM_SearchBatch)
     ->Unit(benchmark::kMillisecond);
 
 /// One row of the dense-vs-sparse n-scaling sweep: a full engine
-/// dictionary build on an n-section RC ladder with the solver backend
-/// forced each way.  dense_ms < 0 means the dense leg was skipped.
+/// dictionary build with the solver backend forced each way, on an
+/// n-section RC ladder or on the 30x30 RC mesh (sections = its 900 grid
+/// nodes).  dense_ms < 0 means the dense leg was skipped.  analyze_ms is
+/// the sparse build's one symbolic analysis (SweepSolver::analyze with
+/// the engine's read set).
 struct ScalingPoint {
+  std::string circuit;
   std::size_t sections = 0;
   std::size_t unknowns = 0;
   std::size_t faults = 0;
   double dense_ms = -1.0;
   double sparse_ms = 0.0;
+  double analyze_ms = 0.0;
 };
 
-/// Dictionary-build wall time vs circuit size, n in {10, 100, 1000, 5000}.
+/// Best-of-\p reps wall time of SweepSolver::analyze on \p cut's sparse
+/// backend with the read set the engine orders last: the output, every
+/// testable site's u and v support, and the excitation rows.
+double analyze_ms(const circuits::CircuitUnderTest& cut, int reps) {
+  using Clock = std::chrono::steady_clock;
+  const mna::MnaSystem system(cut.circuit);
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  for (const auto& name : cut.testable) {
+    if (const auto update = mna::rank1_stamp_update(system, name)) {
+      for (const auto* vec : {&update->u, &update->v}) {
+        for (const auto& entry : vec->entries) read_set.push_back(entry.first);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < assembler.size(); ++i) {
+    if (assembler.rhs()[i] != linalg::Complex{}) read_set.push_back(i);
+  }
+  double best = 0.0;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto start = Clock::now();
+    benchmark::DoNotOptimize(mna::SweepSolver::analyze(
+        assembler, mna::SolverBackend::kSparse, read_set));
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    if (rep == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+/// Dictionary-build wall time vs circuit size: ladders of n in {10, 100,
+/// 1000, 5000} sections, then the 30x30 mesh, whose elimination fills.
 /// The testable stride scales with n so the fault universe stays bounded
 /// and the measurement isolates the per-frequency solve cost; the dense
-/// leg stops at 1000 (an O(n^3) factor per frequency is already minutes
-/// at 5000).
+/// leg stops at 1000 ladder sections (an O(n^3) factor per frequency is
+/// already minutes at 5000) and skips the mesh.
 std::vector<ScalingPoint> run_scaling_sweep(std::size_t grid_points) {
   using Clock = std::chrono::steady_clock;
   std::vector<ScalingPoint> rows;
+  struct Case {
+    std::string circuit;
+    std::size_t sections;
+    circuits::CircuitUnderTest cut;
+  };
+  std::vector<Case> cases;
   for (const std::size_t sections :
        {std::size_t{10}, std::size_t{100}, std::size_t{1000},
         std::size_t{5000}}) {
     circuits::RcLadderDesign design;
     design.sections = sections;
     design.testable_stride = std::max<std::size_t>(1, sections / 4);
-    const auto cut = circuits::make_rc_ladder(design);
+    cases.push_back({"ladder", sections, circuits::make_rc_ladder(design)});
+  }
+  circuits::RcMeshDesign mesh;
+  mesh.rows = 30;
+  mesh.cols = 30;
+  mesh.testable_stride = 112;
+  cases.push_back(
+      {"mesh", mesh.rows * mesh.cols, circuits::make_rc_mesh(mesh)});
+  for (const auto& [circuit, sections, cut] : cases) {
+    const bool ladder = circuit == "ladder";
     const auto universe = faults::FaultUniverse::over_testable(cut);
     const auto faults_list = universe.enumerate();
     const auto freqs =
@@ -575,6 +629,7 @@ std::vector<ScalingPoint> run_scaling_sweep(std::size_t grid_points) {
             .frequencies();
 
     ScalingPoint row;
+    row.circuit = circuit;
     row.sections = sections;
     row.unknowns = mna::MnaSystem(cut.circuit).unknown_count();
     row.faults = universe.fault_count();
@@ -595,13 +650,17 @@ std::vector<ScalingPoint> run_scaling_sweep(std::size_t grid_points) {
       return best;
     };
 
-    const int reps = sections >= 1000 ? 1 : 3;
+    const int reps = sections >= 900 ? 1 : 3;
     row.sparse_ms = build_ms(mna::SolverBackend::kSparse, reps);
-    if (sections <= 1000) {
+    row.analyze_ms = analyze_ms(cut, 5);
+    if (ladder && sections <= 1000) {
       row.dense_ms = build_ms(mna::SolverBackend::kDense, reps);
     }
-    std::printf("scaling n=%zu (%zu unknowns, %zu faults): sparse %.3f ms",
-                sections, row.unknowns, row.faults, row.sparse_ms);
+    std::printf(
+        "scaling %s n=%zu (%zu unknowns, %zu faults): sparse %.3f ms "
+        "(analyze %.3f ms)",
+        row.circuit.c_str(), sections, row.unknowns, row.faults,
+        row.sparse_ms, row.analyze_ms);
     if (row.dense_ms >= 0.0) {
       std::printf(", dense %.3f ms (%.2fx)", row.dense_ms,
                   row.dense_ms / row.sparse_ms);
@@ -737,9 +796,11 @@ void write_engine_report(const char* path) {
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const auto& row = scaling[i];
     std::fprintf(out,
-                 "    {\"sections\": %zu, \"unknowns\": %zu, "
-                 "\"faults\": %zu, ",
-                 row.sections, row.unknowns, row.faults);
+                 "    {\"circuit\": \"%s\", \"sections\": %zu, "
+                 "\"unknowns\": %zu, \"faults\": %zu, "
+                 "\"analyze_ms\": %.3f, ",
+                 row.circuit.c_str(), row.sections, row.unknowns, row.faults,
+                 row.analyze_ms);
     if (row.dense_ms >= 0.0) {
       std::fprintf(out,
                    "\"dense_ms\": %.3f, \"sparse_ms\": %.3f, "

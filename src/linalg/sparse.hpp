@@ -29,6 +29,9 @@ public:
   /// reuses one accumulator without reallocating).
   void clear() { entries_.clear(); }
 
+  /// Room for \p count entries, so assembling that many never reallocates.
+  void reserve(std::size_t count) { entries_.reserve(count); }
+
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }

@@ -7,19 +7,32 @@
 /// A(s) = G + s*C has a frequency-invariant structure — so the work splits
 /// the way circuit simulators split it:
 ///
-///   1. **Symbolic phase** (construction).  Columns are ordered by minimum
-///      degree on the graph of A + A^T (Tinney & Walker), ties broken by
-///      index, so the order depends on the structure alone.  An optional
-///      *trailing* set of unknowns (the ones a caller reads) is ordered
-///      after every other column.  Elimination then walks that order with
-///      threshold pivoting: a row is acceptable when its entry is at least
-///      pivot_threshold times the column's largest candidate, and among
-///      acceptable rows the winner is the first by (row outside the
+///   1. **Symbolic phase** (construction).  A's entries are assembled by
+///      two stable counting sorts, duplicates summed in entry order — the
+///      rounding of a running `sum += value` — and entries that cancel to
+///      exactly 0.0 stay in the pattern as explicit zeros, so the pattern
+///      is a function of the input structure only.  Columns are ordered by
+///      minimum degree on the graph of A + A^T (Tinney & Walker), ties
+///      broken by index, so the order depends on the structure alone.  An
+///      optional *trailing* set of unknowns (the ones a caller reads) is
+///      ordered after every other column.  The elimination graph stays
+///      implicit, as a quotient graph with element absorption (George &
+///      Liu): no clique is built, degrees are exact unions counted with a
+///      marker array, and a min-tournament over packed (flag, degree,
+///      index) keys picks each pivot.  Elimination then walks that order
+///      with threshold pivoting: a row is acceptable when its entry is at
+///      least pivot_threshold times the column's largest candidate, and
+///      among acceptable rows the winner is the first by (row outside the
 ///      column's block, active row length, off-diagonal, row index) — so
 ///      the trailing set's own rows stay in the trailing block whenever
-///      they are acceptable.  Candidate rows come from a per-column index.
-///      Entries that cancel to exactly 0.0 stay in the pattern as explicit
-///      zeros, so the pattern is a function of the input structure only.
+///      they are acceptable.  Rows live in one flat arena, each sized by
+///      the symmetric fill minimum degree predicts and moved to the
+///      arena's end only if threshold pivoting fills it further; a
+///      column's candidate rows are a list threaded through one node per
+///      entry.  Every step works in a handful of arrays, so an analysis
+///      makes a few dozen allocations whatever n, none per row or entry.
+///      The analysis also records each input entry's slot
+///      (`entry_slots()`).
 ///   2. **Numeric phase** (`refactor`).  The caller writes A's values into
 ///      the frozen pattern's slots (`slot()` maps an entry once, `values()`
 ///      is the array) and the elimination replays an update schedule the
@@ -80,6 +93,10 @@ public:
   /// once, then refill values() per point.  \throws NumericError when
   /// (row, col) lies outside the analyzed pattern.
   [[nodiscard]] std::size_t slot(std::size_t row, std::size_t col) const;
+
+  /// slot() of every entry of the analyzed matrix, in entry order: the
+  /// analysis places each entry, so no lookup searches.
+  [[nodiscard]] std::span<const std::uint32_t> entry_slots() const;
 
   /// The numeric values, one per pattern slot.  Before refactor(): A's
   /// entries summed into their slot(), every other slot zero.
@@ -148,6 +165,8 @@ private:
     /// update_slot.  Pivot j's U-row length gives the count.
     std::vector<std::uint32_t> multiplier_pivot;  ///< per L slot
     std::vector<std::uint32_t> update_slot;  ///< per (multiplier, U entry)
+    /// slot() of each entry of the analyzed matrix, in entry order.
+    std::vector<std::uint32_t> entry_slot;
   };
 
   /// The numeric refactor of N copies sharing one analysis, replaying the

@@ -33,29 +33,35 @@ std::shared_ptr<const SweepSolver::Context> SweepSolver::analyze(
                  n > SweepAssembler::kDenseLimit);
   if (ctx->sparse) {
     ctx->read_set.assign(read_set.begin(), read_set.end());
-    linalg::CooMatrix<Complex> coo(n, n);
-    assembler.assemble(linalg::s_of_hz(kReferenceHz), coo);
     try {
+      linalg::CooMatrix<Complex> coo(n, n);
+      coo.reserve(assembler.static_entries().size() +
+                  assembler.reactive_entry_count());
+      assembler.assemble(linalg::s_of_hz(kReferenceHz), coo);
       ctx->prototype = linalg::SparseFactorization<Complex>(coo, ctx->read_set);
     } catch (const NumericError&) {
       // Singular (or empty) at the reference point: leave the prototype
       // unanalyzed and let every lane analyze per frequency instead.
       return ctx;
     }
-    // Map the entry lists onto the frozen pattern once.  Zero entries are
-    // zero at every frequency, and were never part of the analyzed COO.
+    // Map the entry lists onto the frozen pattern once, through the slots
+    // the analysis gave the COO's entries: its nonzero G entries, then its
+    // nonzero s*C ones, each in list order.  Zero entries are zero at every
+    // frequency, and were never part of the analyzed COO.
+    const std::span<const std::uint32_t> slots = ctx->prototype.entry_slots();
     ctx->g_values.assign(ctx->prototype.factor_nnz(), Complex{});
+    std::size_t i = 0;
     for (const auto& e : assembler.static_entries()) {
-      if (e.value != Complex{}) {
-        ctx->g_values[ctx->prototype.slot(e.row, e.col)] += e.value;
-      }
+      if (e.value != Complex{}) ctx->g_values[slots[i++]] += e.value;
     }
+    ctx->c_slots.reserve(slots.size() - i);
     for (const auto& e : assembler.reactive_entries()) {
       if (e.coefficient != 0.0) {
-        ctx->c_slots.emplace_back(ctx->prototype.slot(e.row, e.col),
-                                  e.coefficient);
+        ctx->c_slots.emplace_back(slots[i++], e.coefficient);
       }
     }
+    FTDIAG_ASSERT(i == slots.size(),
+                  "analyzed entries differ from the assembler's lists");
   } else if (n > SweepAssembler::kDenseLimit) {
     // Forced dense past the assembler's premerge limit: merge G here, in
     // stamp order, exactly as prepare_sweep() does below the limit.

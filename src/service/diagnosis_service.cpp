@@ -1,7 +1,9 @@
 #include "service/diagnosis_service.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "chaos/chaos.hpp"
@@ -12,6 +14,39 @@
 #include "util/threads.hpp"
 
 namespace ftdiag::service {
+
+namespace {
+
+/// A copy of \p error for one more reader: an ftdiag error keeps its type
+/// and message, any other exception becomes a std::runtime_error with its
+/// message.  Replies are read on their own threads, and an exception
+/// object shared between them races on its unsynchronized refcount.
+std::exception_ptr copy_of(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const DeadlineError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const OverloadError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const ConfigError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const NumericError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const CircuitError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const ParseError& e) {
+    return std::make_exception_ptr(e);
+  } catch (const Error& e) {
+    return std::make_exception_ptr(e);
+  } catch (const std::exception& e) {
+    return std::make_exception_ptr(std::runtime_error(e.what()));
+  } catch (...) {
+    return std::make_exception_ptr(
+        std::runtime_error("unknown failure in a batched solve"));
+  }
+}
+
+}  // namespace
 
 std::size_t ServiceOptions::resolved_workers() const {
   if (workers != 0) return workers;
@@ -271,9 +306,10 @@ void DiagnosisService::process_batch(std::vector<Pending> batch) {
     }
     results = session->diagnose_batch(all_points, options_.batch_threads);
   } catch (...) {
-    auto error = std::current_exception();
+    // One exception per request, as for an unknown circuit above.
+    const std::exception_ptr error = std::current_exception();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!spans[i].failed) fail(batch[i], error);
+      if (!spans[i].failed) fail(batch[i], copy_of(error));
     }
     return;
   }
@@ -313,6 +349,9 @@ void DiagnosisService::finish(Pending& pending, DiagnosisReply reply,
 void DiagnosisService::fail(Pending& pending, std::exception_ptr error) {
   counters_.failed.inc();
   // Released at once: the future's reader then usually frees the error.
+  // The reader can still run between set_exception and this release;
+  // completion callbacks that carry errors without an exception close
+  // that window.
   std::promise<DiagnosisReply>(std::move(pending.promise))
       .set_exception(std::move(error));
 }

@@ -80,9 +80,6 @@ DictionaryStore::DictionaryStore(StoreOptions options)
               "dictionaries evicted by the per-shard LRU"),
           .persisted = metrics_.counter("ftdiag_store_persisted_total",
                                         "dictionaries written to the disk tier"),
-          .invalid_files = metrics_.counter(
-              "ftdiag_store_invalid_files_total",
-              "on-disk artifacts rejected during validation"),
           .quarantined = metrics_.counter(
               "ftdiag_store_quarantined_total",
               "rejected artifacts quarantined to *.corrupt"),
@@ -206,7 +203,6 @@ DictionaryPtr DictionaryStore::load_or_build(
                 {{"path", path}, {"faults", dictionary->fault_count()}});
       return dictionary;
     } catch (const Error& e) {
-      counters_.invalid_files.inc();
       counters_.quarantine_tier.inc();
       // Quarantine rather than silently rebuild over the evidence: the
       // corrupt image is moved to `<name>.fdx.corrupt` (replacing any
@@ -284,7 +280,7 @@ StoreStats DictionaryStore::stats() const {
           .shared_waits = counters_.shared_waits.value(),
           .evictions = counters_.evictions.value(),
           .persisted = counters_.persisted.value(),
-          .invalid_files = counters_.invalid_files.value(),
+          .invalid_files = counters_.quarantine_tier.value(),
           .quarantined = counters_.quarantined.value()};
 }
 

@@ -43,6 +43,7 @@ struct StoreStats {
   std::size_t evictions = 0;     ///< LRU entries dropped over capacity
   std::size_t persisted = 0;     ///< `.fdx` files written
   std::size_t invalid_files = 0; ///< corrupt/mismatched files rejected
+                                 ///< (the quarantine tier's count)
   std::size_t quarantined = 0;   ///< rejected files moved to `*.corrupt`
 };
 
@@ -101,7 +102,6 @@ private:
     obs::Counter& shared_waits;
     obs::Counter& evictions;
     obs::Counter& persisted;
-    obs::Counter& invalid_files;
     obs::Counter& quarantined;
     obs::Gauge& bytes_resident;
   };

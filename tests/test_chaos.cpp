@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -639,6 +640,43 @@ TEST_F(ServiceResilienceTest, InjectedSolveFailureFailsTheBatchNotTheService) {
   // Chaos off: the same service keeps serving.
   const auto reply = service.submit(request_with(0, 0)).get();
   EXPECT_EQ(reply.results.size(), 1u);
+}
+
+TEST_F(ServiceResilienceTest, FailedSolveGivesEveryRequestItsOwnError) {
+  // One dispatcher stalls in a failing solve while eight requests queue;
+  // they then fail together, as one batch.  Each reply is read on its own
+  // thread in a server, so each must carry its own exception object.
+  ChaosGuard guard("engine.solve_delay:50ms,engine.solve_fail:1");
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::DiagnosisService service(options);
+  service.add_session("paper", *session_);
+
+  auto stalled = service.submit(request_with(0, 0));
+  for (int i = 0; i < 500 && service.stats().queue_depth > 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  constexpr std::size_t kQueued = 8;
+  std::vector<std::future<service::DiagnosisReply>> queued;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    queued.push_back(service.submit(request_with(0, 0)));
+  }
+  EXPECT_THROW((void)stalled.get(), NumericError);
+  std::vector<std::exception_ptr> errors;
+  for (auto& reply : queued) {
+    try {
+      (void)reply.get();
+      ADD_FAILURE() << "a failed solve answered a queued request";
+    } catch (const NumericError&) {
+      errors.push_back(std::current_exception());
+    }
+  }
+  ASSERT_EQ(errors.size(), kQueued);
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    for (std::size_t j = i + 1; j < kQueued; ++j) {
+      EXPECT_NE(errors[i], errors[j]) << "requests " << i << " and " << j;
+    }
+  }
 }
 
 TEST_F(ServiceResilienceTest, ServerAnswersShedsWithOverloadedFrames) {

@@ -823,7 +823,6 @@ TEST(ServingStats, ExportIsPinnedAndMatchesTheStatsStructs) {
       "ftdiag_service_submitted_total counter instance",
       "ftdiag_store_bytes_resident gauge instance",
       "ftdiag_store_evictions_total counter instance",
-      "ftdiag_store_invalid_files_total counter instance",
       "ftdiag_store_persisted_total counter instance",
       "ftdiag_store_quarantined_total counter instance",
       "ftdiag_store_requests_total counter instance,tier",
@@ -900,7 +899,6 @@ TEST(ServingStats, ExportIsPinnedAndMatchesTheStatsStructs) {
   EXPECT_EQ(value("ftdiag_store_shared_waits_total", sto), t.shared_waits);
   EXPECT_EQ(value("ftdiag_store_evictions_total", sto), t.evictions);
   EXPECT_EQ(value("ftdiag_store_persisted_total", sto), t.persisted);
-  EXPECT_EQ(value("ftdiag_store_invalid_files_total", sto), t.invalid_files);
   EXPECT_EQ(value("ftdiag_store_quarantined_total", sto), t.quarantined);
   EXPECT_EQ(value("ftdiag_store_bytes_resident", sto),
             (dictionary->fault_count() + 1) *

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuits/ladders.hpp"
 #include "faults/fault_universe.hpp"
@@ -272,9 +273,31 @@ TEST(LargeLadder, SparseFactorizationMatchesDenseAt1000Nodes) {
   }
 }
 
+/// The read set the simulation engine orders last: the output, every
+/// testable site's u and v support, and the excitation rows.
+std::vector<std::size_t> engine_read_set(const circuits::CircuitUnderTest& cut,
+                                         const mna::MnaSystem& system,
+                                         const mna::SweepAssembler& assembler) {
+  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  for (const auto& name : cut.testable) {
+    const auto update = mna::rank1_stamp_update(system, name);
+    EXPECT_TRUE(update.has_value()) << name;
+    if (!update) continue;
+    for (const auto* vec : {&update->u, &update->v}) {
+      for (const auto& [index, value] : vec->entries) read_set.push_back(index);
+    }
+  }
+  for (std::size_t i = 0; i < assembler.size(); ++i) {
+    if (assembler.rhs()[i] != mna::Complex{}) read_set.push_back(i);
+  }
+  return read_set;
+}
+
 /// The fill-reducing order: a 30x30 RC mesh (901 unknowns) factored in
-/// natural column order fills to ~51k factor entries; minimum degree must
-/// keep it under 30k, with and without a read set ordered last.
+/// natural column order fills to ~51k factor entries.  Minimum degree's
+/// exact counts are pinned — the order, pivots and pattern are a function
+/// of the structure — without a read set, with the output and the sites'
+/// v support ordered last, and with the engine's full read set.
 TEST(LargeLadder, MeshFactorFillStaysBounded) {
   circuits::RcMeshDesign design;
   design.rows = 30;
@@ -286,7 +309,7 @@ TEST(LargeLadder, MeshFactorFillStaysBounded) {
   const auto context =
       mna::SweepSolver::analyze(assembler, mna::SolverBackend::kAuto);
   ASSERT_TRUE(context->sparse);
-  EXPECT_LE(context->prototype.factor_nnz(), 30000u);
+  EXPECT_EQ(context->prototype.factor_nnz(), 19800u);
 
   std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
   for (const auto& name : cut.testable) {
@@ -298,7 +321,11 @@ TEST(LargeLadder, MeshFactorFillStaysBounded) {
   }
   const auto with_reads = mna::SweepSolver::analyze(
       assembler, mna::SolverBackend::kAuto, read_set);
-  EXPECT_LE(with_reads->prototype.factor_nnz(), 30000u);
+  EXPECT_EQ(with_reads->prototype.factor_nnz(), 21738u);
+  const auto with_engine_reads = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kAuto,
+      engine_read_set(cut, system, assembler));
+  EXPECT_EQ(with_engine_reads->prototype.factor_nnz(), 21830u);
 
   // The read-set solve agrees with the full solve wherever it is read.
   mna::SweepSolver solver(assembler, with_reads);
@@ -318,6 +345,25 @@ TEST(LargeLadder, MeshFactorFillStaysBounded) {
     EXPECT_LE(std::abs(reads[u] - full[u]), 1e-12 * (1.0 + std::abs(full[u])))
         << "unknown " << u;
   }
+}
+
+/// The same pin on the 5000-section ladder, whose elimination fills only
+/// where the read set is ordered last.
+TEST(LargeLadder, LadderFactorFillIsPinned) {
+  circuits::RcLadderDesign design;
+  design.sections = 5000;
+  design.testable_stride = 1250;
+  const auto cut = circuits::make_rc_ladder(design);
+  const mna::MnaSystem system(cut.circuit);
+  const auto assembler = system.prepare_sweep();
+  const auto context =
+      mna::SweepSolver::analyze(assembler, mna::SolverBackend::kAuto);
+  ASSERT_TRUE(context->sparse);
+  EXPECT_EQ(context->prototype.factor_nnz(), 15003u);
+  const auto with_engine_reads = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kAuto,
+      engine_read_set(cut, system, assembler));
+  EXPECT_EQ(with_engine_reads->prototype.factor_nnz(), 23739u);
 }
 
 /// Medium random network through the full AC path: the auto-selected

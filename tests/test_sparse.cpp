@@ -4,8 +4,14 @@
 
 #include <algorithm>
 #include <complex>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "circuits/ladders.hpp"
+#include "linalg/complex_utils.hpp"
 #include "linalg/lu.hpp"
+#include "mna/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -377,6 +383,46 @@ TEST(SparseFactorization, TrailingSolveMatchesFullSolveOnTrailingSet) {
           << "unknown " << u << " with " << rows.size() << " rhs rows";
     }
   }
+}
+
+/// The analysis is a function of the matrix, not of the order its entries
+/// arrive in: a 200-unknown random RC network's COO (duplicates summed
+/// first, so every entry's value is the same either way) analyzed as
+/// given and shuffled gives the same pattern, the same slots and the same
+/// first factor, bit for bit.
+TEST(SparseFactorization, AnalysisDependsOnStructureNotEntryOrder) {
+  circuits::RandomNetworkDesign design;
+  design.nodes = 199;
+  design.chords = 300;
+  design.seed = 23;
+  const auto cut = circuits::make_random_network(design);
+  const mna::MnaSystem system(cut.circuit);
+  const auto assembler = system.prepare_sweep();
+  const std::size_t n = assembler.size();
+  ASSERT_EQ(n, 200u);
+  CooMatrix<C> stamped(n, n);
+  assembler.assemble(linalg::s_of_hz(1e3), stamped);
+  std::map<std::pair<std::size_t, std::size_t>, C> merged;
+  for (const auto& e : stamped.entries()) merged[{e.row, e.col}] += e.value;
+  std::vector<CooMatrix<C>::Entry> entries;
+  for (const auto& [at, value] : merged) {
+    entries.push_back({at.first, at.second, value});
+  }
+  CooMatrix<C> given(n, n), shuffled(n, n);
+  for (const auto& e : entries) given.add(e.row, e.col, e.value);
+  std::shuffle(entries.begin(), entries.end(), Rng(24));
+  for (const auto& e : entries) shuffled.add(e.row, e.col, e.value);
+
+  const SparseFactorization<C> a(given), b(shuffled);
+  EXPECT_EQ(a.factor_nnz(), b.factor_nnz());
+  for (const auto& e : given.entries()) {
+    EXPECT_EQ(a.slot(e.row, e.col), b.slot(e.row, e.col))
+        << "entry (" << e.row << ", " << e.col << ")";
+  }
+  std::vector<C> xa(n), xb(n);
+  a.solve_into(assembler.rhs(), xa);
+  b.solve_into(assembler.rhs(), xb);
+  EXPECT_EQ(xa, xb);
 }
 
 /// slot() + values() + refactor() is the same refactorization as

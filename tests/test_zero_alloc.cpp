@@ -32,6 +32,7 @@
 #include "mna/ac_analysis.hpp"
 #include "mna/frequency_grid.hpp"
 #include "mna/stamp_update.hpp"
+#include "mna/sweep_solver.hpp"
 #include "mna/system.hpp"
 
 namespace {
@@ -223,6 +224,47 @@ TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
     EXPECT_LE(at_401, at_41 + 64)
         << cut.name << ": engine allocations grew with the odd frequency grid";
   }
+}
+
+/// Heap allocations of one SweepSolver::analyze of an n-section RC
+/// ladder, with the read set the engine orders last.
+std::size_t sparse_analysis_allocation_count(std::size_t sections) {
+  circuits::RcLadderDesign design;
+  design.sections = sections;
+  design.testable_stride = sections / 4;
+  const auto cut = circuits::make_rc_ladder(design);
+  const mna::MnaSystem system(cut.circuit);
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  for (const auto& name : cut.testable) {
+    const auto update = mna::rank1_stamp_update(system, name);
+    EXPECT_TRUE(update.has_value()) << name;
+    if (!update) continue;
+    for (const auto* vec : {&update->u, &update->v}) {
+      for (const auto& entry : vec->entries) read_set.push_back(entry.first);
+    }
+  }
+  for (std::size_t i = 0; i < assembler.size(); ++i) {
+    if (assembler.rhs()[i] != Complex{}) read_set.push_back(i);
+  }
+  const std::size_t before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  const auto context = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kSparse, read_set);
+  const std::size_t after =
+      g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_TRUE(context->prototype.analyzed());
+  return after - before;
+}
+
+TEST(ZeroAllocation, SparseAnalysisAllocationsDoNotGrowWithSize) {
+  // The symbolic analysis works on flat arrays: ten times the unknowns
+  // may only add the odd doubling of a growing array, never an
+  // allocation per row or per entry.
+  const std::size_t small = sparse_analysis_allocation_count(500);
+  const std::size_t large = sparse_analysis_allocation_count(5000);
+  EXPECT_LE(large, small + 8) << "analysis allocations grew with n";
+  EXPECT_LE(small, large + 8);
 }
 
 TEST(ZeroAllocation, WarmPipelineBatchAllocationsDoNotGrowWithBatchSize) {

@@ -16,9 +16,11 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuits/ladders.hpp"
@@ -559,13 +561,11 @@ struct ScalingPoint {
   double analyze_ms = 0.0;
 };
 
-/// Best-of-\p reps wall time of SweepSolver::analyze on \p cut's sparse
-/// backend with the read set the engine orders last: the output, every
-/// testable site's u and v support, and the excitation rows.
-double analyze_ms(const circuits::CircuitUnderTest& cut, int reps) {
-  using Clock = std::chrono::steady_clock;
-  const mna::MnaSystem system(cut.circuit);
-  const mna::SweepAssembler assembler = system.prepare_sweep();
+/// The read set the engine orders last: the output, every testable
+/// site's u and v support, and the excitation rows.
+std::vector<std::size_t> engine_read_set(const circuits::CircuitUnderTest& cut,
+                                         const mna::MnaSystem& system,
+                                         const mna::SweepAssembler& assembler) {
   std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
   for (const auto& name : cut.testable) {
     if (const auto update = mna::rank1_stamp_update(system, name)) {
@@ -577,6 +577,17 @@ double analyze_ms(const circuits::CircuitUnderTest& cut, int reps) {
   for (std::size_t i = 0; i < assembler.size(); ++i) {
     if (assembler.rhs()[i] != linalg::Complex{}) read_set.push_back(i);
   }
+  return read_set;
+}
+
+/// Best-of-\p reps wall time of SweepSolver::analyze on \p cut's sparse
+/// backend with the engine's read set.
+double analyze_ms(const circuits::CircuitUnderTest& cut, int reps) {
+  using Clock = std::chrono::steady_clock;
+  const mna::MnaSystem system(cut.circuit);
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  const std::vector<std::size_t> read_set =
+      engine_read_set(cut, system, assembler);
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     const auto start = Clock::now();
@@ -671,6 +682,117 @@ std::vector<ScalingPoint> run_scaling_sweep(std::size_t grid_points) {
   return rows;
 }
 
+/// The 5000-section ladder and the 30x30 mesh, as build_sparse and the
+/// scaling sweep build them.
+std::vector<std::pair<std::string, circuits::CircuitUnderTest>>
+sparse_workload_circuits() {
+  circuits::RcLadderDesign ladder;
+  ladder.sections = 5000;
+  ladder.testable_stride = 1250;
+  circuits::RcMeshDesign mesh;
+  mesh.rows = 30;
+  mesh.cols = 30;
+  mesh.testable_stride = 112;
+  return {{"ladder", circuits::make_rc_ladder(ladder)},
+          {"mesh", circuits::make_rc_mesh(mesh)}};
+}
+
+/// One full-grid sparse build: best-of-3 engine dictionary build of a
+/// sparse workload circuit on its own dictionary grid, where the
+/// per-frequency phase, not the analysis, is most of the time.
+struct SparseBuildRow {
+  std::string circuit;
+  std::size_t unknowns = 0;
+  std::size_t faults = 0;
+  std::size_t grid_points = 0;
+  double sparse_ms = 0.0;
+};
+
+std::vector<SparseBuildRow> run_sparse_builds() {
+  using Clock = std::chrono::steady_clock;
+  std::vector<SparseBuildRow> rows;
+  for (const auto& [circuit, cut] : sparse_workload_circuits()) {
+    const auto faults_list =
+        faults::FaultUniverse::over_testable(cut).enumerate();
+    const auto freqs = cut.dictionary_grid.frequencies();
+    SparseBuildRow row{circuit, mna::MnaSystem(cut.circuit).unknown_count(),
+                       faults_list.size(), freqs.size(), 0.0};
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = Clock::now();
+      benchmark::DoNotOptimize(faults::SimulationEngine::simulate(
+          cut, faults::SimOptions{}, faults_list, freqs));
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      if (rep == 0 || ms < row.sparse_ms) row.sparse_ms = ms;
+    }
+    std::printf("sparse build %s (%zu unknowns, %zu faults, %zu points): "
+                "%.3f ms\n",
+                row.circuit.c_str(), row.unknowns, row.faults,
+                row.grid_points, row.sparse_ms);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+/// Scalar-vs-batch wall time of the sparse numeric phase on the 30x30
+/// mesh: its 240 dictionary frequencies loaded, refactored and solved for
+/// the golden read set, by the ScalarPack twin one frequency at a time
+/// and by the 4-wide batch (best of 5 each).  ~1 in a build without
+/// SIMD, where both run at width 1.
+double sparse_batch_speedup() {
+  using Clock = std::chrono::steady_clock;
+  const circuits::CircuitUnderTest cut = sparse_workload_circuits()[1].second;
+  const mna::MnaSystem system(cut.circuit);
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  const auto context = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kSparse,
+      engine_read_set(cut, system, assembler));
+  std::vector<std::pair<std::size_t, linalg::Complex>> rhs;
+  for (std::size_t i = 0; i < assembler.size(); ++i) {
+    if (assembler.rhs()[i] != linalg::Complex{}) {
+      rhs.emplace_back(i, assembler.rhs()[i]);
+    }
+  }
+  std::vector<linalg::Complex> s;
+  for (const double f : cut.dictionary_grid.frequencies()) {
+    s.push_back(linalg::s_of_hz(f));
+  }
+  auto best_ms = [&](auto batch) {
+    using Batch = decltype(batch);
+    constexpr std::size_t kW = Batch::kWidth;
+    std::vector<double> x(assembler.size() * Batch::kStride);
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto start = Clock::now();
+      for (std::size_t at = 0; at + kW <= s.size(); at += kW) {
+        batch.factor(std::span<const linalg::Complex>(s).subspan(at, kW));
+        batch.solve_read_set(rhs, x.data());
+        benchmark::DoNotOptimize(x.data());
+      }
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - start)
+              .count();
+      if (rep == 0 || ms < best) best = ms;
+    }
+    return best;
+  };
+#if FTDIAG_SIMD_NATIVE
+  using BatchPack = linalg::simd::Pack4;
+#else
+  using BatchPack = linalg::simd::ScalarPack;
+#endif
+  const double scalar_ms = best_ms(
+      mna::SparseBatchSolver<linalg::simd::ScalarPack>(assembler, context));
+  const double batch_ms =
+      best_ms(mna::SparseBatchSolver<BatchPack>(assembler, context));
+  std::printf("sparse numeric phase (mesh, %zu points): scalar %.3f ms, "
+              "batch of %zu %.3f ms (%.2fx)\n",
+              s.size(), scalar_ms, BatchPack::width, batch_ms,
+              scalar_ms / batch_ms);
+  return scalar_ms / batch_ms;
+}
+
 /// Scalar-vs-SIMD wall time of the Sherman–Morrison sweep kernel on one
 /// synthetic frequency block (best of several reps, many passes per rep
 /// so the measurement is well above timer resolution).  The returned
@@ -717,8 +839,9 @@ double sherman_kernel_speedup() {
 
 /// Serial-vs-engine dictionary build comparison on the largest registry
 /// circuit (by MNA unknown count), plus the dense-vs-sparse n-scaling
-/// sweep and the scalar-vs-SIMD kernel ratio, written to
-/// BENCH_engine.json.
+/// sweep, the full-grid sparse builds of the ladder and the mesh, and the
+/// scalar-vs-SIMD ratios of the Sherman–Morrison kernel and the sparse
+/// numeric phase, written to BENCH_engine.json.
 void write_engine_report(const char* path) {
   using Clock = std::chrono::steady_clock;
 
@@ -761,9 +884,11 @@ void write_engine_report(const char* path) {
   const double engine_ms = best_of(engine_options);  // stats = engine run's
 
   const double kernel_speedup = sherman_kernel_speedup();
+  const double batch_speedup = sparse_batch_speedup();
 
   constexpr std::size_t kScalingGridPoints = 8;
   const auto scaling = run_scaling_sweep(kScalingGridPoints);
+  const auto sparse_builds = run_sparse_builds();
 
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -785,6 +910,7 @@ void write_engine_report(const char* path) {
                "  \"full_solves\": %zu,\n"
                "  \"simd_width\": %zu,\n"
                "  \"simd_kernel_speedup\": %.2f,\n"
+               "  \"sparse_batch_speedup\": %.2f,\n"
                "  \"scaling_grid_points\": %zu,\n"
                "  \"scaling\": [\n",
                largest_name.c_str(), largest_unknowns,
@@ -792,7 +918,7 @@ void write_engine_report(const char* path) {
                engine_options.resolved_threads(), serial_ms, engine_ms,
                serial_ms / engine_ms, stats.rank1_solves, stats.full_solves,
                linalg::simd::DefaultPack::width, kernel_speedup,
-               kScalingGridPoints);
+               batch_speedup, kScalingGridPoints);
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const auto& row = scaling[i];
     std::fprintf(out,
@@ -813,6 +939,19 @@ void write_engine_report(const char* path) {
                    row.sparse_ms);
     }
     std::fprintf(out, "%s\n", i + 1 < scaling.size() ? "," : "");
+  }
+  std::fprintf(out,
+               "  ],\n"
+               "  \"sparse_builds\": [\n");
+  for (std::size_t i = 0; i < sparse_builds.size(); ++i) {
+    const auto& row = sparse_builds[i];
+    std::fprintf(out,
+                 "    {\"circuit\": \"%s\", \"unknowns\": %zu, "
+                 "\"faults\": %zu, \"grid_points\": %zu, "
+                 "\"sparse_ms\": %.3f}%s\n",
+                 row.circuit.c_str(), row.unknowns, row.faults,
+                 row.grid_points, row.sparse_ms,
+                 i + 1 < sparse_builds.size() ? "," : "");
   }
   std::fprintf(out,
                "  ]\n"

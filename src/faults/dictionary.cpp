@@ -35,8 +35,8 @@ FaultDictionary FaultDictionary::build(
       faults.size(), frequencies_hz.size(), sim.resolved_threads(),
       sim.reuse_factorization ? "on" : "off"));
 
-  SimulationEngine engine(cut, sim);
-  BatchResult batch = engine.simulate_all(faults, frequencies_hz);
+  BatchResult batch =
+      SimulationEngine::simulate(cut, sim, faults, frequencies_hz);
   log::info(str::format(
       "fault simulation: %zu rank-1 solves, %zu full solves, %zu fallback "
       "faults",

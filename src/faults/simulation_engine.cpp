@@ -78,12 +78,15 @@ struct DenseLane {
   AlignedVector w_re, w_im;    ///< site_count * n * width
 };
 
-/// Phase-1 workspace of a sparse lane: one solver (factoring a pair of
-/// frequencies at a time) plus the read-set solutions of the golden
-/// system and of the current site's u.
+/// Phase-1 workspace of a sparse lane: one batch solver plus the
+/// read-set solutions of the golden system and of the current site's u,
+/// every frequency of the batch in its own lane.
+template <typename P>
 struct SparseLane {
-  mna::SweepSolver solver;
-  std::vector<Complex> x0, w;  ///< n; only read-set entries are meaningful
+  mna::SparseBatchSolver<P> solver;
+  /// n unknowns of SparseBatchSolver<P>::kStride doubles; only read-set
+  /// entries are meaningful.
+  linalg::simd::AlignedBuffer x0, w;
 };
 
 /// Per-lane SoA scratch of the rank-1 phase.
@@ -105,6 +108,24 @@ struct SiteLane {
 /// therefore every lane's arithmetic — depends only on the grid, never
 /// on the thread count.
 constexpr std::size_t kFrequencyBlock = 64;
+
+/// Frequencies the sparse backend factors per pack kernel call: four, not
+/// the native width, because a lane's value block is factor_nnz 64-byte
+/// lines at four (1.5 MB on the 5000-section ladder, inside L2) and every
+/// pool lane holds one.  With FTDIAG_SIMD off the kernel runs at width 1.
+constexpr std::size_t kSparseBatch = 4;
+static_assert(kFrequencyBlock % kSparseBatch == 0,
+              "block size must hold whole sparse batches");
+#if FTDIAG_SIMD_NATIVE
+static_assert(linalg::simd::Pack4::width == kSparseBatch);
+template <typename P>
+using SparseBatchPack = std::conditional_t<P::width == 1,
+                                           linalg::simd::ScalarPack,
+                                           linalg::simd::Pack4>;
+#else
+template <typename P>
+using SparseBatchPack = linalg::simd::ScalarPack;
+#endif
 
 /// Process-wide engine metrics (`ftdiag_engine_*`).  Deliberately
 /// registry-global rather than per-engine: BatchResult::stats stays the
@@ -196,10 +217,10 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
 }
 
 /// The factorization-reuse sweep over frequency blocks.  Phase 1 factors
-/// the golden system and reduces it to the sweep inputs: on the dense
-/// backend batched P::width frequencies per SIMD lane with full solves, on
-/// the sparse backend one schedule replay per pair of frequencies (an odd
-/// last one alone) with read-set solves only.  Phase 2 fans the sites out
+/// the golden system and reduces it to the sweep inputs, batched one
+/// frequency per SIMD lane: on the dense backend P::width frequencies per
+/// batch with full solves, on the sparse backend kSparseBatch per pack
+/// kernel call with read-set solves only.  Phase 2 fans the sites out
 /// over the SIMD Sherman–Morrison sweep, reading nothing but those
 /// inputs.  The golden goes to row 0 of \p block and fault i to row
 /// 1 + i.  Instantiated once on the native pack and once on ScalarPack
@@ -219,6 +240,9 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
                  std::size_t out, mna::ResponsePlanes& block) {
   constexpr std::size_t kW = P::width;
   using C = linalg::simd::CPack<P>;
+  using SP = SparseBatchPack<P>;
+  constexpr std::size_t kSW = SP::width;
+  constexpr std::size_t kSparseStride = mna::SparseBatchSolver<SP>::kStride;
 
   const std::size_t n = assembler.size();
   const std::size_t site_count = sites.size();
@@ -227,8 +251,9 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
   static_assert(kFrequencyBlock % kW == 0,
                 "block size must hold whole packs");
   const std::size_t block_cap = std::min(kFrequencyBlock, total);
-  const std::size_t batch_cap = (block_cap + kW - 1) / kW;
-  const std::size_t stride = batch_cap * kW;
+  // Room for the block padded to whole packs of either backend.
+  constexpr std::size_t kPad = std::max(kW, kSW);
+  const std::size_t stride = (block_cap + kPad - 1) / kPad * kPad;
   SweepInputs in;
   in.resize(site_count, stride);
   std::vector<Complex> s_padded(stride);
@@ -240,20 +265,22 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
   std::vector<Complex> u_columns;
   std::vector<std::pair<std::size_t, Complex>> rhs_entries;
   std::vector<DenseLane<P>> dense_lanes;
-  std::vector<SparseLane> sparse_lanes;
+  std::vector<SparseLane<SP>> sparse_lanes;
+  const std::size_t batch_width = context->sparse ? kSW : kW;
   const std::size_t lane_count = std::max<std::size_t>(
-      1, std::min(threads, context->sparse ? (block_cap + 1) / 2 : batch_cap));
+      1, std::min(threads, (block_cap + batch_width - 1) / batch_width));
   if (context->sparse) {
     for (std::size_t i = 0; i < n; ++i) {
       if (assembler.rhs()[i] != Complex{}) {
         rhs_entries.emplace_back(i, assembler.rhs()[i]);
       }
     }
+    // Allocated here, first touched by the workers' first batch.
     sparse_lanes.reserve(lane_count);
     for (std::size_t i = 0; i < lane_count; ++i) {
-      sparse_lanes.push_back({mna::SweepSolver(assembler, context),
-                              std::vector<Complex>(n),
-                              std::vector<Complex>(n)});
+      sparse_lanes.push_back({mna::SparseBatchSolver<SP>(assembler, context),
+                              linalg::simd::aligned_buffer(n * kSparseStride),
+                              linalg::simd::aligned_buffer(n * kSparseStride)});
     }
   } else {
     u_columns.assign(n * site_count, Complex{});
@@ -282,9 +309,10 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
     const std::size_t end = std::min(total, begin + kFrequencyBlock);
     const std::size_t m = end - begin;
     const std::size_t batches = (m + kW - 1) / kW;
+    const std::size_t sparse_batches = (m + kSW - 1) / kSW;
     // Laplace points of the block, padded to whole packs by replicating
     // the last frequency (padding lanes compute unused values).
-    for (std::size_t bi = 0; bi < batches * kW; ++bi) {
+    for (std::size_t bi = 0; bi < (m + kPad - 1) / kPad * kPad; ++bi) {
       const std::size_t fi = std::min(begin + bi, total - 1);
       const Complex s = linalg::s_of_hz(frequencies_hz[fi]);
       s_padded[bi] = s;
@@ -293,42 +321,47 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
     }
 
     if (context->sparse) {
-      // Reduce frequency i of the block, factored as point `point` of the
-      // lane's solver, to its sweep inputs.
-      auto reduce = [&](SparseLane& ws, std::size_t point, std::size_t i) {
-        ws.solver.solve_read_set(rhs_entries, ws.x0, point);
-        in.x0_re[i] = ws.x0[out].real();
-        in.x0_im[i] = ws.x0[out].imag();
+      // Batch b holds the block's frequencies [kSW * b, kSW * b + kSW).
+      // Each real lane is reduced to its frequency's sweep inputs, read out
+      // as std::complex.
+      par::parallel_for_lanes(sparse_batches, threads, [&](std::size_t lane,
+                                                           std::size_t batch) {
+        SparseLane<SP>& ws = sparse_lanes[lane];
+        const std::size_t at = batch * kSW;
+        const std::size_t valid = std::min(kSW, m - at);
+        const auto lane_value = [&](const double* x, std::size_t unknown,
+                                   std::size_t l) {
+          return Complex(x[unknown * kSparseStride + l],
+                         x[unknown * kSparseStride + kSW + l]);
+        };
+        ws.solver.factor(std::span<const Complex>(s_padded).subspan(at, kSW),
+                         valid);
+        ws.solver.solve_read_set(rhs_entries, ws.x0.get());
+        for (std::size_t l = 0; l < valid; ++l) {
+          const Complex x0_out = lane_value(ws.x0.get(), out, l);
+          in.x0_re[at + l] = x0_out.real();
+          in.x0_im[at + l] = x0_out.imag();
+        }
         for (std::size_t si = 0; si < site_count; ++si) {
           const mna::Rank1StampUpdate& update = sites[si].update;
-          ws.solver.solve_read_set(update.u.entries, ws.w, point);
-          Complex v_dot_x0{};
-          Complex v_dot_w{};
-          for (const auto& [index, value] : update.v.entries) {
-            v_dot_x0 += value * ws.x0[index];
-            v_dot_w += value * ws.w[index];
+          ws.solver.solve_read_set(update.u.entries, ws.w.get());
+          for (std::size_t l = 0; l < valid; ++l) {
+            Complex v_dot_x0{};
+            Complex v_dot_w{};
+            for (const auto& [index, value] : update.v.entries) {
+              v_dot_x0 += value * lane_value(ws.x0.get(), index, l);
+              v_dot_w += value * lane_value(ws.w.get(), index, l);
+            }
+            const Complex w_out = lane_value(ws.w.get(), out, l);
+            const std::size_t i = si * stride + at + l;
+            in.w_re[i] = w_out.real();
+            in.w_im[i] = w_out.imag();
+            in.vx0_re[i] = v_dot_x0.real();
+            in.vx0_im[i] = v_dot_x0.imag();
+            in.vw_re[i] = v_dot_w.real();
+            in.vw_im[i] = v_dot_w.imag();
           }
-          const std::size_t at = si * stride + i;
-          in.w_re[at] = ws.w[out].real();
-          in.w_im[at] = ws.w[out].imag();
-          in.vx0_re[at] = v_dot_x0.real();
-          in.vx0_im[at] = v_dot_x0.imag();
-          in.vw_re[at] = v_dot_w.real();
-          in.vw_im[at] = v_dot_w.imag();
         }
-      };
-      par::parallel_for_lanes((m + 1) / 2, threads, [&](std::size_t lane,
-                                                        std::size_t pair) {
-        SparseLane& ws = sparse_lanes[lane];
-        const std::size_t i = 2 * pair;
-        if (i + 1 == m) {
-          ws.solver.factor(s_padded[i]);
-          reduce(ws, 0, i);
-          return;
-        }
-        ws.solver.factor_pair(s_padded[i], s_padded[i + 1]);
-        reduce(ws, 0, i);
-        reduce(ws, 1, i + 1);
       });
     } else {
       par::parallel_for_lanes(batches, threads, [&](std::size_t lane,
@@ -447,12 +480,30 @@ SimulationEngine::SimulationEngine(circuits::CircuitUnderTest cut,
 BatchResult SimulationEngine::simulate_all(
     const std::vector<ParametricFault>& faults,
     const std::vector<double>& frequencies_hz) const {
+  return run(cut_, options_, faults, frequencies_hz);
+}
+
+BatchResult SimulationEngine::simulate(
+    const circuits::CircuitUnderTest& cut, const SimOptions& options,
+    const std::vector<ParametricFault>& faults,
+    const std::vector<double>& frequencies_hz) {
+  options.check();
+  cut.check();
+  return run(cut, options, faults, frequencies_hz);
+}
+
+BatchResult SimulationEngine::run(const circuits::CircuitUnderTest& cut,
+                                  const SimOptions& options,
+                                  const std::vector<ParametricFault>& faults,
+                                  const std::vector<double>& frequencies_hz) {
   FTDIAG_ASSERT(
       std::is_sorted(frequencies_hz.begin(), frequencies_hz.end()),
       "engine frequencies must ascend");
-  const std::size_t threads = options_.resolved_threads();
-  const mna::MnaSystem system(cut_.circuit);
-  const std::size_t out = system.node_unknown(cut_.output_node);
+  const std::size_t threads = options.resolved_threads();
+  // The system holds a copy of the elaborated circuit; it serves the
+  // set-up below and is gone before phase 1's lanes are allocated.
+  std::optional<mna::MnaSystem> system(std::in_place, cut.circuit);
+  const std::size_t out = system->node_unknown(cut.output_node);
 
   // The batch's one block: the golden in row 0, fault i in row 1 + i.
   // Every path below writes its rows in place; the result's responses are
@@ -479,13 +530,13 @@ BatchResult SimulationEngine::simulate_all(
           ? static_cast<std::int64_t>(linalg::simd::DefaultPack::width)
           : 1);
 
-  const bool reuse = options_.reuse_factorization && out != mna::kNoUnknown;
+  const bool reuse = options.reuse_factorization && out != mna::kNoUnknown;
   if (!reuse) {
-    mna::AcAnalysis(cut_.circuit)
-        .sweep_into(frequencies_hz, cut_.output_node, block->row_re(0),
+    mna::AcAnalysis(cut.circuit)
+        .sweep_into(frequencies_hz, cut.output_node, block->row_re(0),
                     block->row_im(0));
     par::parallel_for(faults.size(), threads, [&](std::size_t i) {
-      naive_row(cut_, faults[i], frequencies_hz, *block, 1 + i);
+      naive_row(cut, faults[i], frequencies_hz, *block, 1 + i);
     });
     result.stats.full_solves = faults.size() * frequencies_hz.size();
     result.stats.fallback_faults = faults.size();
@@ -514,7 +565,7 @@ BatchResult SimulationEngine::simulate_all(
     auto it = site_of_label.find(label);
     if (it == site_of_label.end()) {
       std::optional<mna::Rank1StampUpdate> update =
-          mna::rank1_stamp_update(system, fault.site.component);
+          mna::rank1_stamp_update(*system, fault.site.component);
       const std::size_t slot = update ? sites.size() : kUnsupported;
       it = site_of_label.emplace(label, slot).first;
       if (update) sites.push_back({{}, std::move(*update)});
@@ -530,7 +581,7 @@ BatchResult SimulationEngine::simulate_all(
   // fanned out across the pool.
   par::parallel_for(fallback.size(), threads, [&](std::size_t j) {
     const std::size_t i = fallback[j];
-    naive_row(cut_, faults[i], frequencies_hz, *block, 1 + i);
+    naive_row(cut, faults[i], frequencies_hz, *block, 1 + i);
   });
   result.stats.fallback_faults = fallback.size();
   result.stats.full_solves = fallback.size() * frequencies_hz.size();
@@ -544,7 +595,8 @@ BatchResult SimulationEngine::simulate_all(
   // The one symbolic analysis of the build.  On the sparse backend it
   // orders the unknowns phase 1 reads last: the output, every site's u/v
   // support and the excitation rows.
-  const mna::SweepAssembler assembler = system.prepare_sweep();
+  const mna::SweepAssembler assembler = system->prepare_sweep();
+  system.reset();
   std::vector<std::size_t> read_set{out};
   for (const SiteItem& item : sites) {
     for (const auto* vec : {&item.update.u, &item.update.v}) {
@@ -555,7 +607,7 @@ BatchResult SimulationEngine::simulate_all(
     if (assembler.rhs()[i] != Complex{}) read_set.push_back(i);
   }
   const auto context =
-      mna::SweepSolver::analyze(assembler, options_.backend, read_set);
+      mna::SweepSolver::analyze(assembler, options.backend, read_set);
 
   // The batched sweep: native-width packs normally, the width-1 scalar
   // twin when the FTDIAG_SIMD knob (build option or environment
@@ -564,11 +616,11 @@ BatchResult SimulationEngine::simulate_all(
   // one instruction.
   if (linalg::simd::enabled()) {
     reuse_sweep<linalg::simd::DefaultPack>(
-        cut_, options_, faults, frequencies_hz, assembler, context, sites,
+        cut, options, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, *block);
   } else {
     reuse_sweep<linalg::simd::ScalarPack>(
-        cut_, options_, faults, frequencies_hz, assembler, context, sites,
+        cut, options, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, *block);
   }
   for (const SiteState& site : state) {

@@ -6,10 +6,10 @@
 /// exactly one component stamp, so per frequency the engine
 ///
 ///   1. assembles and factorizes the *golden* system once — batched dense
-///      LU for small circuits, pattern-reusing sparse LU (mna::SweepSolver)
-///      beyond mna::SweepAssembler::kDenseLimit, where one replay of the
-///      analysis' compiled elimination schedule refactors two frequencies
-///      at a time (bit-identical to one at a time),
+///      LU for small circuits, pattern-reusing sparse LU beyond
+///      mna::SweepAssembler::kDenseLimit, where one pack kernel loads,
+///      refactors and solves four frequencies at a time
+///      (mna::SparseBatchSolver, bit-identical to one at a time),
 ///   2. produces each faulty response from that factorization via a
 ///      Sherman–Morrison rank-1 update (linalg/rank1.hpp), solving one
 ///      extra triangular pair per *fault site* — on the sparse backend
@@ -100,7 +100,21 @@ public:
       const std::vector<ParametricFault>& faults,
       const std::vector<double>& frequencies_hz) const;
 
+  /// simulate_all() on the caller's \p cut, which is read in place (no
+  /// engine, no copy) and must outlive the call.
+  /// \throws ConfigError / CircuitError if the CUT or options are invalid.
+  [[nodiscard]] static BatchResult simulate(
+      const circuits::CircuitUnderTest& cut, const SimOptions& options,
+      const std::vector<ParametricFault>& faults,
+      const std::vector<double>& frequencies_hz);
+
 private:
+  /// The simulation, on a checked CUT and options.
+  [[nodiscard]] static BatchResult run(
+      const circuits::CircuitUnderTest& cut, const SimOptions& options,
+      const std::vector<ParametricFault>& faults,
+      const std::vector<double>& frequencies_hz);
+
   circuits::CircuitUnderTest cut_;
   SimOptions options_;
 };

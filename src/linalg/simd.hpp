@@ -11,6 +11,10 @@
 ///   - `NativePack`: `std::experimental::simd<double>` at the hardware's
 ///     native width (8 on AVX-512, 4 on AVX2, 2 on SSE2).
 ///
+/// Both wide packs are `SimdPack<Abi>`; `Pack4` is the same template at
+/// exactly four doubles (the sparse LU's frequency batch, whose complex
+/// slot then fills one 64-byte line).
+///
 /// `DefaultPack` is what the hot paths use.  It resolves to `NativePack`
 /// when the build enables SIMD (CMake option `FTDIAG_SIMD`, default ON,
 /// which defines `FTDIAG_SIMD_ENABLED=1`) *and* the toolchain ships the
@@ -25,14 +29,17 @@
 /// scalar twin agree bit-for-bit unless the optimizer contracts a
 /// multiply-add differently between the two instantiations — the
 /// differential suite in tests/test_simd.cpp pins the contract at
-/// <= 1e-12 relative (and empirically exact).  See src/linalg/README.md
-/// ("SIMD kernel contract") for alignment and remainder rules.
+/// <= 1e-12 relative (and empirically exact).  A kernel that spells every
+/// rounding out through `fma` leaves the optimizer nothing to contract,
+/// and is bit-exact to its twin.  See src/linalg/README.md ("SIMD kernel
+/// contract") for alignment and remainder rules.
 #pragma once
 
 #include <cmath>
 #include <complex>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -48,7 +55,7 @@
 #endif
 #endif
 
-#if FTDIAG_SIMD_NATIVE && defined(__AVX512F__)
+#if FTDIAG_SIMD_NATIVE && (defined(__AVX512F__) || defined(__FMA__))
 #include <immintrin.h>
 #endif
 
@@ -88,6 +95,19 @@ struct AlignedAllocator {
 
 /// A 64-byte-aligned plane of doubles: the unit of SoA storage.
 using AlignedVector = std::vector<double, AlignedAllocator<double>>;
+
+struct AlignedDelete {
+  void operator()(double* p) const noexcept {
+    ::operator delete[](p, std::align_val_t{kAlignment});
+  }
+};
+/// A 64-byte-aligned array of doubles left uninitialized, so its pages
+/// are first touched by whoever first writes them.
+using AlignedBuffer = std::unique_ptr<double[], AlignedDelete>;
+[[nodiscard]] inline AlignedBuffer aligned_buffer(std::size_t n) {
+  return AlignedBuffer(static_cast<double*>(
+      ::operator new[](n * sizeof(double), std::align_val_t{kAlignment})));
+}
 
 // ----------------------------------------------------------- ScalarPack
 
@@ -154,6 +174,16 @@ struct ScalarPack {
 [[nodiscard]] inline ScalarPack max(ScalarPack a, ScalarPack b) {
   return {a.v < b.v ? b.v : a.v};
 }
+/// a * b + c, rounded once where the target has FMA and as the plain
+/// expression (two roundings) otherwise — what GCC contracts the scalar
+/// expression to either way, spelled out.
+[[nodiscard]] inline ScalarPack fma(ScalarPack a, ScalarPack b, ScalarPack c) {
+#if defined(__FMA__)
+  return {std::fma(a.v, b.v, c.v)};
+#else
+  return {a.v * b.v + c.v};
+#endif
+}
 [[nodiscard]] inline ScalarPack select(ScalarPack::Mask m, ScalarPack a,
                                        ScalarPack b) {
   return {m.m ? a.v : b.v};
@@ -162,107 +192,155 @@ struct ScalarPack {
 [[nodiscard]] inline bool all_of(ScalarPack::Mask m) { return m.m; }
 [[nodiscard]] inline bool none_of(ScalarPack::Mask m) { return !m.m; }
 
-// ----------------------------------------------------------- NativePack
+// ------------------------------------------------------------ SimdPack
 
 #if FTDIAG_SIMD_NATIVE
 
 namespace stdx = std::experimental;
 
-/// Hardware-width pack over std::experimental::simd.  Loads and stores
+/// The lane mask of SimdPack<Abi>.
+template <typename Abi>
+struct SimdMask {
+  typename stdx::simd<double, Abi>::mask_type m{};
+  [[nodiscard]] bool operator[](std::size_t i) const { return m[i]; }
+  [[nodiscard]] friend SimdMask operator&&(SimdMask a, SimdMask b) {
+    return {a.m && b.m};
+  }
+  [[nodiscard]] friend SimdMask operator||(SimdMask a, SimdMask b) {
+    return {a.m || b.m};
+  }
+  [[nodiscard]] friend SimdMask operator!(SimdMask a) { return {!a.m}; }
+};
+
+/// A pack over std::experimental::simd with ABI \p Abi.  Loads and stores
 /// are element-aligned (any 8-byte boundary); kernels that want the full
 /// kAlignment guarantee allocate through AlignedVector but none *require*
 /// it for correctness.
-struct NativePack {
-  using Simd = stdx::native_simd<double>;
+template <typename Abi>
+struct SimdPack {
+  using Simd = stdx::simd<double, Abi>;
+  using Mask = SimdMask<Abi>;
   static constexpr std::size_t width = Simd::size();
 
   Simd v{};
 
-  struct Mask {
-    typename Simd::mask_type m{};
-    [[nodiscard]] bool operator[](std::size_t i) const { return m[i]; }
-    [[nodiscard]] friend Mask operator&&(Mask a, Mask b) {
-      return {a.m && b.m};
-    }
-    [[nodiscard]] friend Mask operator||(Mask a, Mask b) {
-      return {a.m || b.m};
-    }
-    [[nodiscard]] friend Mask operator!(Mask a) { return {!a.m}; }
-  };
-
-  [[nodiscard]] static NativePack broadcast(double x) { return {Simd(x)}; }
-  [[nodiscard]] static NativePack load(const double* p) {
+  [[nodiscard]] static SimdPack broadcast(double x) { return {Simd(x)}; }
+  [[nodiscard]] static SimdPack load(const double* p) {
     return {Simd(p, stdx::element_aligned)};
   }
   void store(double* p) const { v.copy_to(p, stdx::element_aligned); }
 
   [[nodiscard]] double operator[](std::size_t i) const { return v[i]; }
 
-  [[nodiscard]] friend NativePack operator+(NativePack a, NativePack b) {
+  [[nodiscard]] friend SimdPack operator+(SimdPack a, SimdPack b) {
     return {a.v + b.v};
   }
-  [[nodiscard]] friend NativePack operator-(NativePack a, NativePack b) {
+  [[nodiscard]] friend SimdPack operator-(SimdPack a, SimdPack b) {
     return {a.v - b.v};
   }
-  [[nodiscard]] friend NativePack operator*(NativePack a, NativePack b) {
+  [[nodiscard]] friend SimdPack operator*(SimdPack a, SimdPack b) {
     return {a.v * b.v};
   }
-  [[nodiscard]] friend NativePack operator/(NativePack a, NativePack b) {
+  [[nodiscard]] friend SimdPack operator/(SimdPack a, SimdPack b) {
     return {a.v / b.v};
   }
-  [[nodiscard]] friend NativePack operator-(NativePack a) { return {-a.v}; }
+  [[nodiscard]] friend SimdPack operator-(SimdPack a) { return {-a.v}; }
 
-  [[nodiscard]] friend Mask operator<(NativePack a, NativePack b) {
+  [[nodiscard]] friend Mask operator<(SimdPack a, SimdPack b) {
     return {a.v < b.v};
   }
-  [[nodiscard]] friend Mask operator<=(NativePack a, NativePack b) {
+  [[nodiscard]] friend Mask operator<=(SimdPack a, SimdPack b) {
     return {a.v <= b.v};
   }
-  [[nodiscard]] friend Mask operator>(NativePack a, NativePack b) {
+  [[nodiscard]] friend Mask operator>(SimdPack a, SimdPack b) {
     return {a.v > b.v};
   }
-  [[nodiscard]] friend Mask operator==(NativePack a, NativePack b) {
+  [[nodiscard]] friend Mask operator==(SimdPack a, SimdPack b) {
     return {a.v == b.v};
   }
 };
+
+/// Hardware-width pack: 8 doubles on AVX-512, 4 on AVX2, 2 on SSE2.
+using NativePack = SimdPack<stdx::simd_abi::native<double>>;
+
+/// Exactly four doubles, whatever the hardware width: a complex pack's re
+/// and im halves fill one 64-byte line.
+using Pack4 = SimdPack<stdx::simd_abi::deduce_t<double, 4>>;
 
 // The free helpers below are forced inline: GCC otherwise compiles some
 // out of line (.constprop clones) and passes whole packs through the
 // stack in the middle of pack loops.
 
-[[nodiscard, gnu::always_inline]] inline NativePack sqrt(NativePack a) {
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline SimdPack<Abi> sqrt(SimdPack<Abi> a) {
 #if defined(__AVX512F__)
-  // The native pack is 8 doubles here, and GCC 12's stdx::sqrt on it goes
-  // through _mm512_undefined_pd, whose self-initialisation trips
-  // -Wmaybe-uninitialized.  The zero-mask form is the same correctly
-  // rounded sqrt.
-  return {NativePack::Simd(
-      _mm512_maskz_sqrt_pd(0xFF, static_cast<__m512d>(a.v)))};
+  // GCC 12's stdx::sqrt on 8 doubles goes through _mm512_undefined_pd,
+  // whose self-initialisation trips -Wmaybe-uninitialized.  The zero-mask
+  // form is the same correctly rounded sqrt.
+  if constexpr (SimdPack<Abi>::width == 8) {
+    return {typename SimdPack<Abi>::Simd(
+        _mm512_maskz_sqrt_pd(0xFF, static_cast<__m512d>(a.v)))};
+  } else {
+    return {stdx::sqrt(a.v)};
+  }
 #else
   return {stdx::sqrt(a.v)};
 #endif
 }
-[[nodiscard, gnu::always_inline]] inline NativePack min(NativePack a,
-                                                        NativePack b) {
+/// a * b + c per lane, rounded once where the target has FMA and as the
+/// plain expression (two roundings) otherwise — what the scalar code
+/// compiles to either way.  stdx::fma would call the libm fma per element.
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline SimdPack<Abi> fma(SimdPack<Abi> a,
+                                                           SimdPack<Abi> b,
+                                                           SimdPack<Abi> c) {
+  using Simd = typename SimdPack<Abi>::Simd;
+#if defined(__FMA__)
+  if constexpr (SimdPack<Abi>::width == 2) {
+    return {Simd(_mm_fmadd_pd(static_cast<__m128d>(a.v),
+                              static_cast<__m128d>(b.v),
+                              static_cast<__m128d>(c.v)))};
+  } else if constexpr (SimdPack<Abi>::width == 4) {
+    return {Simd(_mm256_fmadd_pd(static_cast<__m256d>(a.v),
+                                 static_cast<__m256d>(b.v),
+                                 static_cast<__m256d>(c.v)))};
+  } else {
+    static_assert(SimdPack<Abi>::width == 8, "no FMA form for this width");
+    return {Simd(_mm512_fmadd_pd(static_cast<__m512d>(a.v),
+                                 static_cast<__m512d>(b.v),
+                                 static_cast<__m512d>(c.v)))};
+  }
+#else
+  return {a.v * b.v + c.v};
+#endif
+}
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline SimdPack<Abi> min(SimdPack<Abi> a,
+                                                           SimdPack<Abi> b) {
   return {stdx::min(a.v, b.v)};
 }
-[[nodiscard, gnu::always_inline]] inline NativePack max(NativePack a,
-                                                        NativePack b) {
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline SimdPack<Abi> max(SimdPack<Abi> a,
+                                                           SimdPack<Abi> b) {
   return {stdx::max(a.v, b.v)};
 }
-[[nodiscard, gnu::always_inline]] inline NativePack select(
-    NativePack::Mask m, NativePack a, NativePack b) {
-  NativePack out = b;
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline SimdPack<Abi> select(
+    SimdMask<Abi> m, SimdPack<Abi> a, SimdPack<Abi> b) {
+  SimdPack<Abi> out = b;
   stdx::where(m.m, out.v) = a.v;
   return out;
 }
-[[nodiscard, gnu::always_inline]] inline bool any_of(NativePack::Mask m) {
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline bool any_of(SimdMask<Abi> m) {
   return stdx::any_of(m.m);
 }
-[[nodiscard, gnu::always_inline]] inline bool all_of(NativePack::Mask m) {
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline bool all_of(SimdMask<Abi> m) {
   return stdx::all_of(m.m);
 }
-[[nodiscard, gnu::always_inline]] inline bool none_of(NativePack::Mask m) {
+template <typename Abi>
+[[nodiscard, gnu::always_inline]] inline bool none_of(SimdMask<Abi> m) {
   return stdx::none_of(m.m);
 }
 

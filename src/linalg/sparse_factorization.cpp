@@ -7,6 +7,7 @@
 #include <numeric>
 #include <tuple>
 
+#include "linalg/simd.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -22,24 +23,79 @@ constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 /// "None" in the symbolic phase's 32-bit index arrays.
 constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
 
-/// Plain complex arithmetic for the elimination and substitution loops,
-/// without std::complex's NaN-recovery branches and scaled library
-/// division (the dense batched LU's conj/|.|^2 form): MNA magnitudes stay
-/// far inside the double range, and a NaN propagates either way.
-double mul(double a, double b) { return a * b; }
-std::complex<double> mul(const std::complex<double>& a,
-                         const std::complex<double>& b) {
-  return {a.real() * b.real() - a.imag() * b.imag(),
-          a.real() * b.imag() + a.imag() * b.real()};
-}
-/// acc - a * b.
+/// The numeric phase's arithmetic on P::width value sets at once, each
+/// slot's lanes contiguous: [W values] for real T, [W re | W im] for
+/// complex T.  Every rounding is spelled out through simd::fma — fused
+/// where the target has FMA, plain products otherwise — in the pairing
+/// GCC gives the plain expressions (`a.re * b.re - a.im * b.im`, ...), so
+/// no contraction is left to the compiler and every instantiation gives
+/// the same bits per lane.  No C99 Annex G NaN recovery: MNA magnitudes
+/// stay far inside the double range, and a NaN propagates either way.
+template <typename T, typename P>
+struct Lanes;
+
+template <typename P>
+struct Lanes<double, P> {
+  using V = P;
+  static constexpr std::size_t kStride = P::width;
+
+  static V load(const double* values, std::size_t i) {
+    return P::load(values + i * kStride);
+  }
+  static void store(double* values, std::size_t i, V v) {
+    v.store(values + i * kStride);
+  }
+  static V broadcast(double x) { return P::broadcast(x); }
+  static V add(V a, V b) { return a + b; }
+  static V mul(V a, V b) { return a * b; }
+  /// d - a * b.
+  static V sub_mul(V d, V a, V b) { return simd::fma(-a, b, d); }
+  /// |a|^2.
+  static P norm(V a) { return a * a; }
+  /// 1 / p, given norm(p).
+  static V reciprocal(V p, P) { return P::broadcast(1.0) / p; }
+};
+
+template <typename P>
+struct Lanes<std::complex<double>, P> {
+  using V = simd::CPack<P>;
+  static constexpr std::size_t kStride = 2 * P::width;
+
+  static V load(const double* values, std::size_t i) {
+    const double* at = values + i * kStride;
+    return {P::load(at), P::load(at + P::width)};
+  }
+  static void store(double* values, std::size_t i, V v) {
+    double* at = values + i * kStride;
+    v.re.store(at);
+    v.im.store(at + P::width);
+  }
+  static V broadcast(const std::complex<double>& z) { return V::broadcast(z); }
+  static V add(V a, V b) { return {a.re + b.re, a.im + b.im}; }
+  static V mul(V a, V b) {
+    return {simd::fma(a.re, b.re, -(a.im * b.im)),
+            simd::fma(a.re, b.im, a.im * b.re)};
+  }
+  static V sub_mul(V d, V a, V b) {
+    const V product = mul(a, b);
+    return {d.re - product.re, d.im - product.im};
+  }
+  static P norm(V a) { return simd::fma(a.re, a.re, a.im * a.im); }
+  static V reciprocal(V p, P norm_p) {
+    const P inv = P::broadcast(1.0) / norm_p;
+    return {p.re * inv, (-p.im) * inv};
+  }
+};
+
+/// A scalar value array as the kernels see it: a std::complex<double> is
+/// one slot of the width-1 layout [re | im].
 template <typename T>
-T sub_mul(const T& acc, const T& a, const T& b) {
-  return acc - mul(a, b);
+double* lane_data(std::span<T> v) {
+  return reinterpret_cast<double*>(v.data());
 }
-double reciprocal(double p) { return 1.0 / p; }
-std::complex<double> reciprocal(const std::complex<double>& p) {
-  return std::conj(p) * (1.0 / std::norm(p));
+template <typename T>
+const double* lane_data(std::span<const T> v) {
+  return reinterpret_cast<const double*>(v.data());
 }
 
 /// The symbolic phase's elimination steps — the update row - m * u of an
@@ -667,9 +723,12 @@ SparseFactorization<T>::SparseFactorization(
     sym->row_start[k + 1] = sym->row_start[k] + size[r];
   }
   arena = {};
-  inv_pivot_.resize(n);
+  // The factor keeps each pivot's reciprocal in its diagonal slot.
+  using Scalar = Lanes<T, simd::ScalarPack>;
+  double* const values = lane_data(std::span<T>(values_));
   for (std::size_t k = 0; k < n; ++k) {
-    inv_pivot_[k] = reciprocal(values_[sym->diag[k]]);
+    const auto p = Scalar::load(values, sym->diag[k]);
+    Scalar::store(values, sym->diag[k], Scalar::reciprocal(p, Scalar::norm(p)));
   }
 
   // Compile the elimination the refactor replays, and give every input
@@ -725,146 +784,174 @@ void SparseFactorization<T>::refactor(const CooMatrix<T>& a) {
 }
 
 template <typename T>
+SparseFactorization<T> SparseFactorization<T>::analysis() const {
+  SparseFactorization alone;
+  alone.symbolic_ = symbolic_;
+  return alone;
+}
+
+template <typename T>
 void SparseFactorization<T>::refactor() {
+  FTDIAG_ASSERT(values_.size() == factor_nnz(),
+                "refactor of an analysis that holds no values");
+  if (refactor_lanes<simd::ScalarPack>(lane_data(std::span<T>(values_))) !=
+      0) {
+    throw NumericError("reused pivot order broke down in sparse refactor");
+  }
+}
+
+template <typename T>
+template <typename P>
+unsigned SparseFactorization<T>::refactor_lanes(double* values) const {
   FTDIAG_ASSERT(symbolic_ != nullptr, "refactor before symbolic analysis");
-  replay<1>({this});
-}
-
-template <typename T>
-void SparseFactorization<T>::refactor_pair(SparseFactorization& a,
-                                           SparseFactorization& b) {
-  FTDIAG_ASSERT(a.symbolic_ != nullptr && a.symbolic_ == b.symbolic_,
-                "paired refactor needs copies of one analysis");
-  replay<2>({&a, &b});
-}
-
-template <typename T>
-template <std::size_t N>
-void SparseFactorization<T>::replay(
-    const std::array<SparseFactorization*, N>& factors) {
-  const Symbolic& sym = *factors[0]->symbolic_;
-  std::array<T*, N> vals;
-  std::array<T*, N> inv;
+  using L = Lanes<T, P>;
+  using V = typename L::V;
+  const Symbolic& sym = *symbolic_;
   // Squared magnitudes: the analysis' |pivot| <= 1e-13 * max|a| test
   // without a hypot per value.  Row k's slots still hold A's values when
   // its turn comes, so the largest entry is gathered on the way and the
-  // test is settled once the largest is known.  Neither counts NaN.
-  std::array<double, N> max_norm;
-  std::array<double, N> min_pivot_norm;
-  for (std::size_t p = 0; p < N; ++p) {
-    vals[p] = factors[p]->values_.data();
-    inv[p] = factors[p]->inv_pivot_.data();
-    max_norm[p] = 0.0;
-    min_pivot_norm[p] = std::numeric_limits<double>::infinity();
-  }
+  // test is settled once the largest is known.  Neither counts NaN: a
+  // lane keeps its running value unless the comparison holds.
+  P max_norm = P::broadcast(0.0);
+  P min_pivot_norm = P::broadcast(std::numeric_limits<double>::infinity());
 
   // Up-looking elimination in place, in the analysis' operation order:
   // each multiplier of row k is finished by the updates of the pivots
   // before it, then applies its own pivot's U row to the slots the
-  // schedule names.  Each pivot is inverted once and multiplied
-  // thereafter.  The N value sets are independent; interleaving them
-  // lets one's dependency chain fill the other's stalls.
+  // schedule names.  Each pivot is inverted once, into its own slot, and
+  // multiplied thereafter.  The lanes are independent value sets.  (The
+  // index arrays are read through locals: a pack store may alias any
+  // memory, so members would be reloaded after every one.)
+  const std::size_t* const row_start = sym.row_start.data();
+  const std::size_t* const diag = sym.diag.data();
   const std::uint32_t* pivot = sym.multiplier_pivot.data();
   const std::uint32_t* slot = sym.update_slot.data();
   for (std::size_t k = 0; k < sym.n; ++k) {
-    const std::size_t rd = sym.diag[k];
-    for (std::size_t p = 0; p < N; ++p) {
-      for (std::size_t idx = sym.row_start[k]; idx < sym.row_start[k + 1];
-           ++idx) {
-        max_norm[p] = std::max(max_norm[p], std::norm(vals[p][idx]));
-      }
+    const std::size_t rd = diag[k];
+    for (std::size_t idx = row_start[k]; idx < row_start[k + 1]; ++idx) {
+      const P norm = L::norm(L::load(values, idx));
+      max_norm = select(max_norm < norm, norm, max_norm);
     }
-    for (std::size_t idx = sym.row_start[k]; idx < rd; ++idx, ++pivot) {
+    for (std::size_t idx = row_start[k]; idx < rd; ++idx, ++pivot) {
       const std::size_t j = *pivot;
-      std::array<T, N> multiplier;
-      for (std::size_t p = 0; p < N; ++p) {
-        multiplier[p] = mul(vals[p][idx], inv[p][j]);
-        vals[p][idx] = multiplier[p];
-      }
-      const std::size_t u_end = sym.row_start[j + 1];
-      for (std::size_t u = sym.diag[j] + 1; u < u_end; ++u, ++slot) {
-        for (std::size_t p = 0; p < N; ++p) {
-          vals[p][*slot] = sub_mul(vals[p][*slot], multiplier[p], vals[p][u]);
-        }
+      const V multiplier =
+          L::mul(L::load(values, idx), L::load(values, diag[j]));
+      L::store(values, idx, multiplier);
+      const std::size_t u_end = row_start[j + 1];
+      for (std::size_t u = diag[j] + 1; u < u_end; ++u, ++slot) {
+        L::store(values, *slot,
+                 L::sub_mul(L::load(values, *slot), multiplier,
+                            L::load(values, u)));
       }
     }
-    for (std::size_t p = 0; p < N; ++p) {
-      min_pivot_norm[p] = std::min(min_pivot_norm[p], std::norm(vals[p][rd]));
-      inv[p][k] = reciprocal(vals[p][rd]);
-    }
+    const V p = L::load(values, rd);
+    const P norm = L::norm(p);
+    min_pivot_norm = select(norm < min_pivot_norm, norm, min_pivot_norm);
+    L::store(values, rd, L::reciprocal(p, norm));
   }
 
-  for (std::size_t p = 0; p < N; ++p) {
-    if (max_norm[p] == 0.0) {
-      throw NumericError("sparse refactorization of the zero matrix");
-    }
-    const double tolerance = kPivotTolerance * kPivotTolerance * max_norm[p];
-    if (min_pivot_norm[p] > tolerance) continue;
-    // The analysis-time pivot order is numerically unacceptable for these
-    // values; the caller falls back to a fresh analysis.  Pivots up to
-    // the first small one are exact, so that one is found again.
-    std::size_t k = 0;
-    while (!(std::norm(vals[p][sym.diag[k]]) <= tolerance)) ++k;
-    throw NumericError(str::format(
-        "reused pivot order broke down at pivot %zu in sparse refactor", k));
+  // A lane breaks down on the zero matrix, or where the analysis-time
+  // pivot order turns numerically unacceptable for its values.
+  const auto broken =
+      max_norm == P::broadcast(0.0) ||
+      !(min_pivot_norm >
+        P::broadcast(kPivotTolerance * kPivotTolerance) * max_norm);
+  unsigned lanes = 0;
+  for (std::size_t l = 0; l < P::width; ++l) {
+    if (broken[l]) lanes |= 1u << l;
   }
+  return lanes;
 }
 
 template <typename T>
-void SparseFactorization<T>::substitute(std::size_t first,
+template <typename P>
+void SparseFactorization<T>::substitute(const double* values,
+                                        std::size_t first,
                                         std::size_t back_from,
-                                        std::span<T> x) const {
+                                        double* x) const {
+  using L = Lanes<T, P>;
+  using V = typename L::V;
   const Symbolic& sym = *symbolic_;
+  const std::size_t n = sym.n;
   const std::size_t* const cols = sym.col.data();
-  const T* const vals = values_.data();
+  const std::size_t* const row_start = sym.row_start.data();
+  const std::size_t* const diag = sym.diag.data();
+  const std::size_t* const order = sym.order.data();
+  const std::size_t* const position = sym.position.data();
   // Forward substitution (L unit-diagonal) from the first nonzero pivot of
   // the permuted right-hand side: earlier pivots are zero and stay zero,
   // so their L columns — the leading ones of each row — are skipped.
-  for (std::size_t k = first; k < sym.n; ++k) {
-    const std::size_t* idx = cols + sym.row_start[k];
-    const std::size_t* const end = cols + sym.diag[k];
+  for (std::size_t k = first; k < n; ++k) {
+    const std::size_t* idx = cols + row_start[k];
+    const std::size_t* const end = cols + diag[k];
     if (first > 0) {
-      idx = std::partition_point(idx, end, [&](std::size_t c) {
-        return sym.position[c] < first;
-      });
+      idx = std::partition_point(
+          idx, end, [&](std::size_t c) { return position[c] < first; });
     }
-    T acc = x[sym.order[k]];
-    for (; idx < end; ++idx) acc = sub_mul(acc, vals[idx - cols], x[*idx]);
-    x[sym.order[k]] = acc;
+    V acc = L::load(x, order[k]);
+    for (; idx < end; ++idx) {
+      acc = L::sub_mul(acc, L::load(values, idx - cols), L::load(x, *idx));
+    }
+    L::store(x, order[k], acc);
   }
-  // Back substitution with U over pivots [back_from, n).
-  for (std::size_t k = sym.n; k-- > back_from;) {
-    T acc = x[sym.order[k]];
-    for (std::size_t idx = sym.diag[k] + 1; idx < sym.row_start[k + 1]; ++idx) {
-      acc = sub_mul(acc, vals[idx], x[cols[idx]]);
+  // Back substitution with U over pivots [back_from, n), each row ending
+  // on its pivot's reciprocal.
+  for (std::size_t k = n; k-- > back_from;) {
+    V acc = L::load(x, order[k]);
+    for (std::size_t idx = diag[k] + 1; idx < row_start[k + 1]; ++idx) {
+      acc = L::sub_mul(acc, L::load(values, idx), L::load(x, cols[idx]));
     }
-    x[sym.order[k]] = mul(acc, inv_pivot_[k]);
+    L::store(x, order[k], L::mul(acc, L::load(values, diag[k])));
   }
 }
 
 template <typename T>
 void SparseFactorization<T>::solve_into(std::span<const T> b,
                                         std::span<T> x) const {
-  FTDIAG_ASSERT(symbolic_ != nullptr, "solve before symbolic analysis");
-  const Symbolic& sym = *symbolic_;
-  FTDIAG_ASSERT(b.size() == sym.n && x.size() == sym.n,
-                "rhs/solution size mismatch in sparse solve");
-  // x is indexed by unknown throughout: pivot k's value lives at
-  // x[order[k]].
-  std::size_t first = sym.n;
-  for (std::size_t k = 0; k < sym.n; ++k) {
-    x[sym.order[k]] = b[sym.perm[k]];
-    if (first == sym.n && !(b[sym.perm[k]] == T{})) first = k;
-  }
-  substitute(first, 0, x);
+  FTDIAG_ASSERT(x.size() == size(), "solution size mismatch in sparse solve");
+  FTDIAG_ASSERT(values_.size() == factor_nnz(),
+                "solve with an analysis that holds no values");
+  solve_lanes<simd::ScalarPack>(lane_data(std::span<const T>(values_)), b,
+                                lane_data(x));
 }
 
 template <typename T>
 void SparseFactorization<T>::solve_trailing(
     std::span<const std::pair<std::size_t, T>> b, std::span<T> x) const {
+  FTDIAG_ASSERT(x.size() == size(), "solution size mismatch in sparse solve");
+  FTDIAG_ASSERT(values_.size() == factor_nnz(),
+                "solve with an analysis that holds no values");
+  solve_trailing_lanes<simd::ScalarPack>(
+      lane_data(std::span<const T>(values_)), b, lane_data(x));
+}
+
+template <typename T>
+template <typename P>
+void SparseFactorization<T>::solve_lanes(const double* values,
+                                         std::span<const T> b,
+                                         double* x) const {
   FTDIAG_ASSERT(symbolic_ != nullptr, "solve before symbolic analysis");
+  using L = Lanes<T, P>;
   const Symbolic& sym = *symbolic_;
-  FTDIAG_ASSERT(x.size() == sym.n, "solution size mismatch in sparse solve");
+  FTDIAG_ASSERT(b.size() == sym.n, "rhs size mismatch in sparse solve");
+  // x is indexed by unknown throughout: pivot k's value lives at
+  // x[order[k]].
+  std::size_t first = sym.n;
+  for (std::size_t k = 0; k < sym.n; ++k) {
+    L::store(x, sym.order[k], L::broadcast(b[sym.perm[k]]));
+    if (first == sym.n && !(b[sym.perm[k]] == T{})) first = k;
+  }
+  substitute<P>(values, first, 0, x);
+}
+
+template <typename T>
+template <typename P>
+void SparseFactorization<T>::solve_trailing_lanes(
+    const double* values, std::span<const std::pair<std::size_t, T>> b,
+    double* x) const {
+  FTDIAG_ASSERT(symbolic_ != nullptr, "solve before symbolic analysis");
+  using L = Lanes<T, P>;
+  const Symbolic& sym = *symbolic_;
   const std::size_t head = sym.n - sym.trailing;
   std::size_t first = sym.n;
   for (const auto& entry : b) {
@@ -872,10 +959,13 @@ void SparseFactorization<T>::solve_trailing(
     first = std::min(first, sym.inv_perm[entry.first]);
   }
   for (std::size_t k = std::min(first, head); k < sym.n; ++k) {
-    x[sym.order[k]] = T{};
+    L::store(x, sym.order[k], L::broadcast(T{}));
   }
-  for (const auto& [row, value] : b) x[sym.order[sym.inv_perm[row]]] += value;
-  substitute(first, head, x);
+  for (const auto& [row, value] : b) {
+    const std::size_t u = sym.order[sym.inv_perm[row]];
+    L::store(x, u, L::add(L::load(x, u), L::broadcast(value)));
+  }
+  substitute<P>(values, first, head, x);
 }
 
 template <typename T>
@@ -903,5 +993,26 @@ std::span<const std::uint32_t> SparseFactorization<T>::entry_slots() const {
 
 template class SparseFactorization<double>;
 template class SparseFactorization<std::complex<double>>;
+
+// The lane kernels at the widths mna::SparseBatchSolver runs them.
+namespace {
+using Entries = std::span<const std::pair<std::size_t, std::complex<double>>>;
+}  // namespace
+template unsigned SparseFactorization<std::complex<double>>::refactor_lanes<
+    simd::ScalarPack>(double*) const;
+template void SparseFactorization<std::complex<double>>::solve_lanes<
+    simd::ScalarPack>(const double*, std::span<const std::complex<double>>,
+                      double*) const;
+template void SparseFactorization<std::complex<double>>::solve_trailing_lanes<
+    simd::ScalarPack>(const double*, Entries, double*) const;
+#if FTDIAG_SIMD_NATIVE
+template unsigned SparseFactorization<std::complex<double>>::refactor_lanes<
+    simd::Pack4>(double*) const;
+template void SparseFactorization<std::complex<double>>::solve_lanes<
+    simd::Pack4>(const double*, std::span<const std::complex<double>>,
+                 double*) const;
+template void SparseFactorization<std::complex<double>>::solve_trailing_lanes<
+    simd::Pack4>(const double*, Entries, double*) const;
+#endif
 
 }  // namespace ftdiag::linalg

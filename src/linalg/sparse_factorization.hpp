@@ -40,34 +40,41 @@
 ///      pivot, and for every (multiplier, U entry) pair the destination
 ///      slot in the row being eliminated.  The replay updates the slots in
 ///      place — no dense accumulator, no scatter/gather, no column lookups,
-///      no allocation — with O(flops of the factor) work.
-///      `refactor_pair` replays the schedule over two value sets of one
-///      analysis at once, so each one's pivot -> reciprocal -> next-row
-///      latency chain overlaps the other's.  Every slot sees the same
-///      operations in the same order either way, so a paired refactor is
-///      bit-identical to two single ones.
+///      no allocation — with O(flops of the factor) work, and leaves each
+///      pivot's reciprocal in its diagonal slot.  It is one pack kernel
+///      (`refactor_lanes<P>`) over P::width value sets held by the caller,
+///      interleaved slot by slot ([W re | W im] per complex slot: one
+///      64-byte line at W = 4); `refactor()` is its ScalarPack
+///      instantiation on the object's own values.  Every rounding is
+///      spelled out, so each lane gets the bits `refactor()` gives that
+///      value set, and a lane whose pivot breaks down leaves the others
+///      untouched.
 ///   3. **Solves.**  `solve_into` is the full solve.  `solve_trailing`
 ///      computes the trailing unknowns only: forward substitution starts
 ///      at the first nonzero row of the permuted right-hand side and back
 ///      substitution covers the trailing block alone.  When the
 ///      right-hand side's rows pivot inside the trailing block, a solve
 ///      costs O(trailing block²) instead of O(factor) — computing only
-///      the entries of A^-1 that are needed (Erisman & Tinney).
+///      the entries of A^-1 that are needed (Erisman & Tinney).  Both are
+///      the ScalarPack instantiations of the lane kernels `solve_lanes`
+///      and `solve_trailing_lanes`, which solve every lane of a
+///      `refactor_lanes` value block against one shared right-hand side.
 ///
-/// Copies share the immutable symbolic phase and its schedule (cheap
-/// per-lane clones for parallel sweeps); each copy owns its numeric
-/// values, so concurrent refactor/solve on different copies is safe.
+/// Copies share the immutable symbolic phase and its schedule; each copy
+/// owns its numeric values, so concurrent refactor/solve on different
+/// copies is safe, and so are lane kernels on distinct value blocks.
 ///
 /// `refactor` throws NumericError when the frozen pivot order turns
 /// numerically unacceptable at the new values (a pivot collapsing towards
-/// zero); callers fall back to a fresh full analysis at that point.
+/// zero); `refactor_lanes` flags the lanes where it does.  Callers fall
+/// back to a fresh full analysis at that point.
 #pragma once
 
-#include <array>
 #include <complex>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -99,7 +106,8 @@ public:
   [[nodiscard]] std::span<const std::uint32_t> entry_slots() const;
 
   /// The numeric values, one per pattern slot.  Before refactor(): A's
-  /// entries summed into their slot(), every other slot zero.
+  /// entries summed into their slot(), every other slot zero; after it,
+  /// the factor, each pivot's slot holding the pivot's reciprocal.
   [[nodiscard]] std::span<T> values() { return values_; }
 
   /// Allocation-free numeric refactorization of the values written into
@@ -109,13 +117,35 @@ public:
   /// successful refactor.
   void refactor();
 
-  /// refactor() of \p a and \p b — copies sharing one analysis, their
-  /// values() written — in one pass over the schedule.  Bit-identical to
-  /// a.refactor() and b.refactor().  \throws NumericError when a reused
-  /// pivot breaks down in either; both are then unusable until their next
-  /// successful refactor, and which one broke down is only learned by
-  /// refactoring them one at a time.
-  static void refactor_pair(SparseFactorization& a, SparseFactorization& b);
+  /// Doubles per slot (and per unknown of a solution) in a block of
+  /// P::width value sets: slot i's lane l at [i * stride + l], and for
+  /// complex T its imaginary part at [i * stride + P::width + l].
+  template <typename P>
+  static constexpr std::size_t lane_stride =
+      (std::is_same_v<T, double> ? 1 : 2) * P::width;
+
+  /// refactor() of the P::width value sets in \p values (factor_nnz()
+  /// slots of lane_stride<P> doubles, A's values written in), in place
+  /// and allocation-free; this object's own values are not touched.
+  /// \return the lanes whose reused pivot broke down (bit l for lane l),
+  /// which stay unusable until refactored; the other lanes hold the bits
+  /// refactor() gives their values.
+  template <typename P>
+  [[nodiscard]] unsigned refactor_lanes(double* values) const;
+
+  /// solve_into() of every lane of \p values (refactored by
+  /// refactor_lanes<P>) against the shared \p b, into \p x (size() unknowns
+  /// of lane_stride<P> doubles).  Allocation-free.
+  template <typename P>
+  void solve_lanes(const double* values, std::span<const T> b,
+                   double* x) const;
+
+  /// solve_trailing() of every lane of \p values against the shared \p b,
+  /// into \p x laid out as for solve_lanes.  Allocation-free.
+  template <typename P>
+  void solve_trailing_lanes(const double* values,
+                            std::span<const std::pair<std::size_t, T>> b,
+                            double* x) const;
 
   /// Refill from \p a — a structural subset of the analyzed pattern, e.g.
   /// the reactive part vanishing at s = 0 — and refactor().  \throws
@@ -136,6 +166,11 @@ public:
 
   /// Convenience single solve.
   [[nodiscard]] std::vector<T> solve(const std::vector<T>& b) const;
+
+  /// The analysis alone: a copy that shares this one's symbolic phase and
+  /// holds no values — for callers that keep theirs in lane blocks.  Only
+  /// the lane kernels and the structural queries apply to it.
+  [[nodiscard]] SparseFactorization analysis() const;
 
   [[nodiscard]] bool analyzed() const { return symbolic_ != nullptr; }
   [[nodiscard]] std::size_t size() const;
@@ -169,20 +204,17 @@ private:
     std::vector<std::uint32_t> entry_slot;
   };
 
-  /// The numeric refactor of N copies sharing one analysis, replaying the
-  /// schedule once for all of them.
-  template <std::size_t N>
-  static void replay(const std::array<SparseFactorization*, N>& factors);
-
   /// Forward substitution over pivots [first, n), then back substitution
-  /// over pivots [back_from, n), on \p x indexed by unknown (pivot k's
-  /// value at x[order[k]]).
-  void substitute(std::size_t first, std::size_t back_from,
-                  std::span<T> x) const;
+  /// over pivots [back_from, n), on the lanes of \p x indexed by unknown
+  /// (pivot k's value at unknown order[k]).
+  template <typename P>
+  void substitute(const double* values, std::size_t first,
+                  std::size_t back_from, double* x) const;
 
   std::shared_ptr<const Symbolic> symbolic_;
-  std::vector<T> values_;     ///< factor values in slot order
-  std::vector<T> inv_pivot_;  ///< 1 / pivot k, reused by refactor and solves
+  /// Factor values in slot order, each pivot's slot holding its
+  /// reciprocal once factored.
+  std::vector<T> values_;
 };
 
 extern template class SparseFactorization<double>;

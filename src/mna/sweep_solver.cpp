@@ -1,7 +1,5 @@
 #include "mna/sweep_solver.hpp"
 
-#include <algorithm>
-
 #include "linalg/complex_utils.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -21,6 +19,36 @@ obs::Counter& pivot_breakdowns() {
   return counter;
 }
 
+/// Write A(s_l) = G + s_l*C into every lane of \p values, the context's
+/// slot layout: G's merged slot values, then each reactive entry's
+/// fma(s, c, value) per component, in list order — the roundings of
+/// `value += s * c` on a std::complex.
+template <typename P>
+void load_lanes(const SweepContext& context, std::span<const Complex> s,
+                double* values) {
+  constexpr std::size_t kWidth = P::width;
+  constexpr std::size_t kStride = 2 * kWidth;
+  std::array<double, kWidth> s_re, s_im;
+  for (std::size_t l = 0; l < kWidth; ++l) {
+    s_re[l] = s[l].real();
+    s_im[l] = s[l].imag();
+  }
+  const P lane_re = P::load(s_re.data());
+  const P lane_im = P::load(s_im.data());
+  const std::size_t slots = context.g_values.size();
+  for (std::size_t i = 0; i < slots; ++i) {
+    P::broadcast(context.g_values[i].real()).store(values + i * kStride);
+    P::broadcast(context.g_values[i].imag())
+        .store(values + i * kStride + kWidth);
+  }
+  for (const auto& [slot, coefficient] : context.c_slots) {
+    double* const at = values + slot * kStride;
+    const P c = P::broadcast(coefficient);
+    fma(lane_re, c, P::load(at)).store(at);
+    fma(lane_im, c, P::load(at + kWidth)).store(at + kWidth);
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const SweepSolver::Context> SweepSolver::analyze(
@@ -38,7 +66,10 @@ std::shared_ptr<const SweepSolver::Context> SweepSolver::analyze(
       coo.reserve(assembler.static_entries().size() +
                   assembler.reactive_entry_count());
       assembler.assemble(linalg::s_of_hz(kReferenceHz), coo);
-      ctx->prototype = linalg::SparseFactorization<Complex>(coo, ctx->read_set);
+      // Lanes keep their values in blocks of their own: the reference
+      // point's factor values are not kept.
+      ctx->prototype =
+          linalg::SparseFactorization<Complex>(coo, ctx->read_set).analysis();
     } catch (const NumericError&) {
       // Singular (or empty) at the reference point: leave the prototype
       // unanalyzed and let every lane analyze per frequency instead.
@@ -73,98 +104,135 @@ std::shared_ptr<const SweepSolver::Context> SweepSolver::analyze(
   return ctx;
 }
 
+template <typename P>
+SparseBatchSolver<P>::SparseBatchSolver(
+    const SweepAssembler& assembler, std::shared_ptr<const SweepContext> context)
+    : assembler_(&assembler),
+      context_(std::move(context)),
+      coo_(assembler.size(), assembler.size()) {
+  FTDIAG_ASSERT(context_ != nullptr && context_->sparse,
+                "sparse batch solver needs an analyzed sparse context");
+  if (context_->prototype.analyzed()) {
+    values_ = linalg::simd::aligned_buffer(context_->prototype.factor_nnz() *
+                                           kStride);
+  }
+}
+
+template <typename P>
+void SparseBatchSolver<P>::factor(std::span<const Complex> s,
+                                  std::size_t valid) {
+  FTDIAG_ASSERT(s.size() == kWidth && valid >= 1 && valid <= kWidth,
+                "sparse batch factor needs kWidth points, one or more real");
+  const linalg::SparseFactorization<Complex>& prototype = context_->prototype;
+  // Every real lane analyzes fresh when the reference analysis failed.
+  unsigned broken = (1u << valid) - 1;
+  if (prototype.analyzed()) {
+    load_lanes<P>(*context_, s, values_.get());
+    broken &= prototype.refactor_lanes<P>(values_.get());
+    // The frozen pivot order is numerically unusable at these lanes'
+    // points: each analyzes fresh for its point only.  The shared context
+    // stays untouched, so the fallback never leaks into other lanes or
+    // frequencies.
+    for (unsigned rest = broken; rest != 0; rest &= rest - 1) {
+      pivot_breakdowns().inc();
+    }
+  }
+  for (std::size_t l = 0; l < kWidth; ++l) {
+    if ((broken >> l & 1u) == 0) continue;
+    assembler_->assemble(s[l], coo_);
+    fresh_[l] = linalg::SparseFactorization<Complex>(coo_, context_->read_set);
+  }
+  fresh_lanes_ = broken;
+}
+
+template <typename P>
+template <typename Solve>
+void SparseBatchSolver<P>::scatter_fresh(double* x,
+                                         std::span<const std::size_t> unknowns,
+                                         const Solve& solve) const {
+  if (fresh_lanes_ == 0) return;
+  const std::size_t n = assembler_->size();
+  std::vector<Complex> lane_x(n);
+  const std::size_t count = unknowns.empty() ? n : unknowns.size();
+  for (std::size_t l = 0; l < kWidth; ++l) {
+    if ((fresh_lanes_ >> l & 1u) == 0) continue;
+    solve(fresh_[l], lane_x);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t u = unknowns.empty() ? i : unknowns[i];
+      x[u * kStride + l] = lane_x[u].real();
+      x[u * kStride + kWidth + l] = lane_x[u].imag();
+    }
+  }
+}
+
+template <typename P>
+void SparseBatchSolver<P>::solve_into(std::span<const Complex> b,
+                                      double* x) const {
+  if (context_->prototype.analyzed()) {
+    context_->prototype.solve_lanes<P>(values_.get(), b, x);
+  }
+  scatter_fresh(x, {},
+                [&](const linalg::SparseFactorization<Complex>& lu,
+                    std::span<Complex> lane_x) { lu.solve_into(b, lane_x); });
+}
+
+template <typename P>
+void SparseBatchSolver<P>::solve_read_set(
+    std::span<const std::pair<std::size_t, Complex>> b, double* x) const {
+  if (context_->prototype.analyzed()) {
+    context_->prototype.solve_trailing_lanes<P>(values_.get(), b, x);
+  }
+  scatter_fresh(x, context_->read_set,
+                [&](const linalg::SparseFactorization<Complex>& lu,
+                    std::span<Complex> lane_x) {
+                  lu.solve_trailing(b, lane_x);
+                });
+}
+
+template class SparseBatchSolver<linalg::simd::ScalarPack>;
+#if FTDIAG_SIMD_NATIVE
+template class SparseBatchSolver<linalg::simd::Pack4>;
+#endif
+
 SweepSolver::SweepSolver(const SweepAssembler& assembler,
                          std::shared_ptr<const Context> context)
     : assembler_(&assembler), context_(std::move(context)) {
   FTDIAG_ASSERT(context_ != nullptr, "sweep solver needs an analyzed context");
-  if (context_->sparse) {
-    coo_ = linalg::CooMatrix<Complex>(assembler.size(), assembler.size());
-    // Both share the immutable symbolic phase.
-    for (SparsePoint& point : points_) point.reused = context_->prototype;
-  }
+  if (context_->sparse) sparse_.emplace(assembler, context_);
 }
 
 void SweepSolver::factor(Complex s) {
-  if (!context_->sparse) {
-    if (size() <= SweepAssembler::kDenseLimit) {
-      assembler_->assemble(s, a_);
-    } else {
-      a_ = context_->g_dense;
-      for (const auto& e : assembler_->reactive_entries()) {
-        a_(e.row, e.col) += s * e.coefficient;
-      }
-    }
-    lu_.factor_in_place(a_);
+  if (sparse_) {
+    sparse_->factor({&s, 1});
     return;
   }
-  factor_point(points_[0], s);
-}
-
-void SweepSolver::factor_pair(Complex s0, Complex s1) {
-  FTDIAG_ASSERT(context_->sparse, "paired factors need the sparse backend");
-  SparsePoint& a = points_[0];
-  SparsePoint& b = points_[1];
-  if (a.reused.analyzed()) {
-    load(a.reused, s0);
-    load(b.reused, s1);
-    try {
-      linalg::SparseFactorization<Complex>::refactor_pair(a.reused, b.reused);
-      a.use_fresh = false;
-      b.use_fresh = false;
-      return;
-    } catch (const NumericError&) {
-      // A frozen pivot broke down in one of the two: refactor each alone,
-      // so only the point that broke down counts and analyzes fresh.
+  if (size() <= SweepAssembler::kDenseLimit) {
+    assembler_->assemble(s, a_);
+  } else {
+    a_ = context_->g_dense;
+    for (const auto& e : assembler_->reactive_entries()) {
+      a_(e.row, e.col) += s * e.coefficient;
     }
   }
-  factor_point(a, s0);
-  factor_point(b, s1);
-}
-
-void SweepSolver::load(linalg::SparseFactorization<Complex>& lu,
-                       Complex s) const {
-  const std::span<Complex> values = lu.values();
-  std::copy(context_->g_values.begin(), context_->g_values.end(),
-            values.begin());
-  for (const auto& [slot, coefficient] : context_->c_slots) {
-    values[slot] += s * coefficient;
-  }
-}
-
-void SweepSolver::factor_point(SparsePoint& point, Complex s) {
-  point.use_fresh = false;
-  if (point.reused.analyzed()) {
-    load(point.reused, s);
-    try {
-      point.reused.refactor();
-      return;
-    } catch (const NumericError&) {
-      // Frozen pivot order is numerically unusable here — analyze fresh
-      // for this point only.  The shared context stays untouched, so the
-      // fallback never leaks into other frequencies or lanes.
-      pivot_breakdowns().inc();
-    }
-  }
-  assembler_->assemble(s, coo_);
-  point.fresh = linalg::SparseFactorization<Complex>(coo_, context_->read_set);
-  point.use_fresh = true;
+  lu_.factor_in_place(a_);
 }
 
 void SweepSolver::solve_into(std::span<const Complex> b,
                              std::span<Complex> x) const {
-  if (!context_->sparse) {
-    lu_.solve_into(b, x);
+  if (sparse_) {
+    FTDIAG_ASSERT(x.size() == size(), "solution size mismatch");
+    sparse_->solve_into(b, reinterpret_cast<double*>(x.data()));
   } else {
-    points_[0].lu().solve_into(b, x);
+    lu_.solve_into(b, x);
   }
 }
 
 void SweepSolver::solve_read_set(
-    std::span<const std::pair<std::size_t, Complex>> b, std::span<Complex> x,
-    std::size_t point) const {
-  FTDIAG_ASSERT(context_->sparse, "read-set solves need the sparse backend");
-  FTDIAG_ASSERT(point < points_.size(), "read-set solve at an unknown point");
-  points_[point].lu().solve_trailing(b, x);
+    std::span<const std::pair<std::size_t, Complex>> b,
+    std::span<Complex> x) const {
+  FTDIAG_ASSERT(sparse_, "read-set solves need the sparse backend");
+  FTDIAG_ASSERT(x.size() == size(), "solution size mismatch");
+  sparse_->solve_read_set(b, reinterpret_cast<double*>(x.data()));
 }
 
 }  // namespace ftdiag::mna

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "circuits/ladders.hpp"
@@ -181,24 +183,40 @@ TEST_P(RandomRcNetworkTest, SparseFactorizationRefactorsAcrossFrequencies) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRcNetworkTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-/// Paired sparse factors are the single ones, bit for bit: a random
-/// network of each SparseFactorizationAgreementTest size, forced onto the
-/// sparse backend with a read set, factored over a grid two frequencies at
-/// a time by one solver and one frequency at a time by another.  The
-/// read-set solutions of both points, and the full solve of point 0, must
-/// agree in every bit.
-class SweepSolverPairTest : public ::testing::TestWithParam<std::size_t> {};
+/// The engine's sparse frequency batch: four wide where the build has
+/// SIMD, the width-1 twin otherwise.
+#if FTDIAG_SIMD_NATIVE
+using BatchPack = linalg::simd::Pack4;
+#else
+using BatchPack = linalg::simd::ScalarPack;
+#endif
 
-TEST_P(SweepSolverPairTest, PairedFactorsMatchSingleFactorsBitForBit) {
-  const std::size_t nodes = GetParam();
-  Rng rng(700 + nodes);
-  const netlist::Circuit circuit = random_rc_network(rng, nodes, 3 * nodes);
-  if (!circuit.validate().empty()) GTEST_SKIP() << "degenerate draw";
-  const mna::MnaSystem system(circuit);
+/// The sparse batch is SweepSolver, lane by lane and bit for bit: the
+/// system, forced onto the sparse backend with the read set the engine
+/// orders last (the output, each site's u and v support, the excitation
+/// rows), is factored over \p grid kWidth frequencies at a time by a
+/// SparseBatchSolver (a short last batch padded) and one at a time by a
+/// SweepSolver.  The golden read-set solve and every site's u solve must
+/// agree at every read-set unknown, and the full solve everywhere.
+void expect_batch_matches_scalar(const mna::MnaSystem& system,
+                                 std::size_t out,
+                                 const std::vector<std::string>& sites,
+                                 const std::vector<double>& grid,
+                                 const std::string& tag) {
+  using Batch = mna::SparseBatchSolver<BatchPack>;
+  constexpr std::size_t kW = Batch::kWidth;
   const auto assembler = system.prepare_sweep();
   const std::size_t n = assembler.size();
-  std::vector<std::size_t> read_set{
-      system.node_unknown(str::format("n%zu", nodes - 1))};
+  std::vector<std::size_t> read_set{out};
+  std::vector<mna::Rank1StampUpdate> updates;
+  for (const auto& name : sites) {
+    auto update = mna::rank1_stamp_update(system, name);
+    ASSERT_TRUE(update.has_value()) << tag << " " << name;
+    for (const auto* vec : {&update->u, &update->v}) {
+      for (const auto& [index, value] : vec->entries) read_set.push_back(index);
+    }
+    updates.push_back(std::move(*update));
+  }
   std::vector<std::pair<std::size_t, mna::Complex>> rhs;
   for (std::size_t i = 0; i < n; ++i) {
     if (assembler.rhs()[i] != mna::Complex{}) {
@@ -208,39 +226,77 @@ TEST_P(SweepSolverPairTest, PairedFactorsMatchSingleFactorsBitForBit) {
   }
   const auto context = mna::SweepSolver::analyze(
       assembler, mna::SolverBackend::kSparse, read_set);
-  ASSERT_TRUE(context->sparse);
-  ASSERT_TRUE(context->prototype.analyzed());
+  ASSERT_TRUE(context->prototype.analyzed()) << tag;
 
-  mna::SweepSolver paired(assembler, context);
+  Batch batch(assembler, context);
   mna::SweepSolver single(assembler, context);
-  std::vector<mna::Complex> x_pair(n), x_single(n);
-  auto expect_same = [&](std::size_t point, double hz) {
-    for (std::size_t u : read_set) {
-      EXPECT_EQ(x_pair[u].real(), x_single[u].real())
-          << "point " << point << " unknown " << u << " at " << hz << " Hz";
-      EXPECT_EQ(x_pair[u].imag(), x_single[u].imag())
-          << "point " << point << " unknown " << u << " at " << hz << " Hz";
+  std::vector<double> x0(n * Batch::kStride), full(n * Batch::kStride);
+  std::vector<std::vector<double>> w(updates.size(),
+                                     std::vector<double>(n * Batch::kStride));
+  std::vector<mna::Complex> x(n);
+  auto expect_lane = [&](const std::vector<double>& block, std::size_t l,
+                         std::span<const std::size_t> unknowns,
+                         const std::string& what) {
+    for (std::size_t u : unknowns) {
+      EXPECT_EQ(block[u * Batch::kStride + l], x[u].real())
+          << tag << " " << what << " lane " << l << " unknown " << u;
+      EXPECT_EQ(block[u * Batch::kStride + kW + l], x[u].imag())
+          << tag << " " << what << " lane " << l << " unknown " << u;
     }
   };
-  const std::vector<double> grid =
-      mna::FrequencyGrid::log_sweep(10.0, 1e6, 8).frequencies();
-  for (std::size_t i = 0; i < grid.size(); i += 2) {
-    paired.factor_pair(linalg::s_of_hz(grid[i]), linalg::s_of_hz(grid[i + 1]));
-    for (std::size_t point = 0; point < 2; ++point) {
-      single.factor(linalg::s_of_hz(grid[i + point]));
-      paired.solve_read_set(rhs, x_pair, point);
-      single.solve_read_set(rhs, x_single);
-      expect_same(point, grid[i + point]);
-      if (point == 0) {
-        paired.solve_into(assembler.rhs(), x_pair);
-        single.solve_into(assembler.rhs(), x_single);
-        EXPECT_EQ(x_pair, x_single) << "full solve at " << grid[i] << " Hz";
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  for (std::size_t at = 0; at < grid.size(); at += kW) {
+    const std::size_t valid = std::min(kW, grid.size() - at);
+    std::vector<mna::Complex> s(kW);
+    for (std::size_t l = 0; l < kW; ++l) {
+      s[l] = linalg::s_of_hz(grid[std::min(at + l, grid.size() - 1)]);
+    }
+    batch.factor(s, valid);
+    batch.solve_read_set(rhs, x0.data());
+    for (std::size_t si = 0; si < updates.size(); ++si) {
+      batch.solve_read_set(updates[si].u.entries, w[si].data());
+    }
+    batch.solve_into(assembler.rhs(), full.data());
+    for (std::size_t l = 0; l < valid; ++l) {
+      single.factor(s[l]);
+      single.solve_read_set(rhs, x);
+      expect_lane(x0, l, read_set, "golden");
+      for (std::size_t si = 0; si < updates.size(); ++si) {
+        single.solve_read_set(updates[si].u.entries, x);
+        expect_lane(w[si], l, read_set, "site " + sites[si]);
       }
+      single.solve_into(assembler.rhs(), x);
+      expect_lane(full, l, all, "full solve");
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SweepSolverPairTest,
+class SparseBatchTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SparseBatchTest, BatchedFactorsMatchTheScalarTwinBitForBit) {
+  const std::size_t nodes = GetParam();
+  Rng rng(700 + nodes);
+  const netlist::Circuit circuit = random_rc_network(rng, nodes, 3 * nodes);
+  if (!circuit.validate().empty()) GTEST_SKIP() << "degenerate draw";
+  const mna::MnaSystem system(circuit);
+  // Sites: the network's first few parts, the spine and chords alike.
+  std::vector<std::string> sites;
+  for (const auto& component : circuit.components()) {
+    if (sites.size() == 3) break;
+    if (component.name != "V1" &&
+        mna::rank1_stamp_update(system, component.name).has_value()) {
+      sites.push_back(component.name);
+    }
+  }
+  // 11 points: two whole batches of four and a tail of three.
+  expect_batch_matches_scalar(
+      system, system.node_unknown(str::format("n%zu", nodes - 1)), sites,
+      mna::FrequencyGrid::log_sweep(10.0, 1e6, 11).frequencies(),
+      str::format("%zu nodes", nodes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SparseBatchTest,
                          ::testing::Values(2, 5, 10, 25, 50, 100, 200));
 
 /// Ladder differential at scale: sparse pattern-reuse path vs the dense
@@ -364,6 +420,28 @@ TEST(LargeLadder, LadderFactorFillIsPinned) {
       assembler, mna::SolverBackend::kAuto,
       engine_read_set(cut, system, assembler));
   EXPECT_EQ(with_engine_reads->prototype.factor_nnz(), 23739u);
+}
+
+/// The batch-vs-scalar contract on the 5000-section ladder and the 30x30
+/// mesh, with their testable sites and a 9-point band grid (two whole
+/// batches of four and a tail of one).
+TEST(LargeLadder, SparseBatchMatchesScalarTwinOnLadderAndMesh) {
+  circuits::RcLadderDesign ladder;
+  ladder.sections = 5000;
+  ladder.testable_stride = 1250;
+  circuits::RcMeshDesign mesh;
+  mesh.rows = 30;
+  mesh.cols = 30;
+  mesh.testable_stride = 112;
+  for (const auto& cut :
+       {circuits::make_rc_ladder(ladder), circuits::make_rc_mesh(mesh)}) {
+    const mna::MnaSystem system(cut.circuit);
+    expect_batch_matches_scalar(
+        system, system.node_unknown(cut.output_node), cut.testable,
+        mna::FrequencyGrid::log_sweep(cut.band_low_hz, cut.band_high_hz, 9)
+            .frequencies(),
+        cut.name);
+  }
 }
 
 /// Medium random network through the full AC path: the auto-selected

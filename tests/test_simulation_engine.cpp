@@ -344,10 +344,12 @@ TEST(SimulationEngine, ForcedSparseMatchesDenseOnEveryRegistryCircuit) {
 /// its middle node to ground, resonant exactly on one grid point: there
 /// the series branch is a short, a pivot frozen at the reference point
 /// collapses, and that frequency alone gets a fresh analysis.  The engine
-/// factors frequencies in pairs, so the resonance goes once to an even
-/// grid index (the first of its pair) and once to an odd one (the
-/// second).  Either way exactly that one fallback must be counted, and
-/// the build must still match the naive inject-and-sweep path.
+/// factors four frequencies per batch, so the resonance goes to each of
+/// the four positions of a batch in turn, and then to the last point of
+/// a 21-point grid, whose batch replicates it into three padding lanes.
+/// Each time exactly one fallback must be counted — padding lanes never
+/// count — and the build must still match the naive inject-and-sweep
+/// path.
 TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
   circuits::RcLadderDesign design;
   design.sections = 200;
@@ -363,15 +365,11 @@ TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
   const obs::Counter& breakdowns = obs::Registry::global().counter(
       "ftdiag_sparse_pivot_breakdowns_total");
 
-  for (const std::size_t resonance : {std::size_t{10}, std::size_t{11}}) {
-    // f0 sits at the centre of the log sweep (index 10); one extra point
-    // below the band moves it to index 11.
-    std::vector<double> freqs =
-        mna::FrequencyGrid::log_sweep(f0 / 10.0, f0 * 10.0, 21).frequencies();
-    if (resonance == 11) freqs.insert(freqs.begin(), f0 / 20.0);
+  auto check = [&](std::vector<double> freqs, std::size_t resonance) {
     freqs[resonance] = f0;
-    const std::string context = "resonance @ " + std::to_string(resonance);
-
+    const std::string context =
+        "resonance @ " + std::to_string(resonance) + " of " +
+        std::to_string(freqs.size());
     const std::uint64_t before = breakdowns.value();
     const BatchResult batch =
         SimulationEngine(cut, SimOptions{}).simulate_all(faults, freqs);
@@ -386,7 +384,23 @@ TEST(SimulationEngine, SparsePivotBreakdownFallsBackToFreshAnalysis) {
       expect_close(batch.responses[i], reference.responses[i], scale,
                    context + " resonant " + faults[i].label());
     }
+  };
+  // f0 sits at the centre of the log sweep (index 10, position 2 of batch
+  // [8, 12)); dropping or adding points below the band moves it to
+  // indices 8..11, positions 0..3.
+  for (std::size_t resonance = 8; resonance < 12; ++resonance) {
+    std::vector<double> freqs =
+        mna::FrequencyGrid::log_sweep(f0 / 10.0, f0 * 10.0, 21).frequencies();
+    if (resonance < 10) {
+      freqs.erase(freqs.begin(), freqs.begin() + (10 - resonance));
+    }
+    for (std::size_t k = 10; k < resonance; ++k) {
+      freqs.insert(freqs.begin(), f0 / (20.0 * static_cast<double>(k - 9)));
+    }
+    check(freqs, resonance);
   }
+  // The padded tail: 21 = 4 * 5 + 1 points, the last one resonant.
+  check(mna::FrequencyGrid::log_sweep(f0 / 100.0, f0, 21).frequencies(), 20);
 }
 
 /// Rank-1 refusal forced: with max_growth just above 1, almost every

@@ -11,6 +11,7 @@
 #include "circuits/ladders.hpp"
 #include "linalg/complex_utils.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/simd.hpp"
 #include "mna/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -448,52 +449,101 @@ TEST(SparseFactorization, SlotRefillMatchesCooRefactor) {
   EXPECT_EQ(by_coo.solve(b), by_slot.solve(b));
 }
 
-/// A paired refactor is the two single ones, bit for bit, and it refuses
-/// when either value set's frozen pivot collapses; refactoring the two
-/// alone then tells which one broke down.
-TEST(SparseFactorization, PairedRefactorMatchesSinglesAndThrowsForEitherSlot) {
+/// The 4-wide frequency batch where the build has SIMD, the width-1 twin
+/// otherwise.
+#if FTDIAG_SIMD_NATIVE
+using BatchPack = simd::Pack4;
+#else
+using BatchPack = simd::ScalarPack;
+#endif
+constexpr std::size_t kLanes = BatchPack::width;
+constexpr std::size_t kStride = SparseFactorization<C>::lane_stride<BatchPack>;
+
+/// A lane block's lane l, as std::complex values.
+std::vector<C> lane_of(const std::vector<double>& block, std::size_t count,
+                       std::size_t l) {
+  std::vector<C> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = C(block[i * kStride + l], block[i * kStride + kLanes + l]);
+  }
+  return out;
+}
+
+/// A batched refactor is kLanes scalar ones, bit for bit — every factor
+/// value and every full and trailing solution — and flags exactly the
+/// lane whose frozen pivot collapses, leaving the others bit-equal.
+TEST(SparseFactorization, LaneBatchMatchesScalarTwinAndFlagsOnlyTheBrokenLane) {
   const std::size_t n = 40;
   const CooMatrix<C> first = random_complex_system(n, 31);
-  const SparseFactorization<C> analysis(first, std::vector<std::size_t>{0, 7});
-  auto fill = [&](SparseFactorization<C>& f, C scale, bool collapse) {
+  const std::vector<std::size_t> trailing{0, 7};
+  const SparseFactorization<C> factored(first, trailing);
+  const SparseFactorization<C> analysis = factored.analysis();
+  const std::size_t slots = analysis.factor_nnz();
+  // Lane l's values: A's entries scaled by a lane-specific factor.  With
+  // `collapse`, every entry of row 20 made tiny: its pivot collapses
+  // whichever column it eliminates.
+  auto lane_values = [&](std::size_t l, bool collapse) {
+    SparseFactorization<C> f = factored;
     std::fill(f.values().begin(), f.values().end(), C{});
+    const C scale(1.5 - 0.25 * static_cast<double>(l),
+                  0.5 + 0.75 * static_cast<double>(l));
     for (const auto& e : first.entries()) {
-      f.values()[f.slot(e.row, e.col)] += e.value * scale;
+      f.values()[f.slot(e.row, e.col)] +=
+          e.value * scale * (collapse && e.row == 20 ? 1e-30 : 1.0);
     }
-    // Every entry of row 20 made tiny: its pivot collapses whichever
-    // column it eliminates.
-    if (collapse) {
-      for (const auto& e : first.entries()) {
-        if (e.row == 20) f.values()[f.slot(e.row, e.col)] *= 1e-30;
+    return f;
+  };
+  const std::vector<C> b(n, C(0.25, 1.0));
+  const std::vector<std::pair<std::size_t, C>> entries{{3, C(1.0, -0.5)},
+                                                       {7, C(0.5, 2.0)}};
+  for (std::size_t broken = 0; broken <= kLanes; ++broken) {
+    // broken == kLanes: no lane breaks down.
+    std::vector<double> block(slots * kStride);
+    std::vector<SparseFactorization<C>> singles;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      singles.push_back(lane_values(l, l == broken));
+      for (std::size_t i = 0; i < slots; ++i) {
+        block[i * kStride + l] = singles[l].values()[i].real();
+        block[i * kStride + kLanes + l] = singles[l].values()[i].imag();
       }
     }
-  };
-  std::vector<C> b(n, C(0.25, 1.0));
-  SparseFactorization<C> a = analysis, c = analysis;
-  SparseFactorization<C> single_a = analysis, single_c = analysis;
-  fill(a, C(1.5, 0.5), false);
-  fill(c, C(0.5, -2.0), false);
-  fill(single_a, C(1.5, 0.5), false);
-  fill(single_c, C(0.5, -2.0), false);
-  SparseFactorization<C>::refactor_pair(a, c);
-  single_a.refactor();
-  single_c.refactor();
-  EXPECT_EQ(a.solve(b), single_a.solve(b));
-  EXPECT_EQ(c.solve(b), single_c.solve(b));
+    const unsigned flagged = analysis.refactor_lanes<BatchPack>(block.data());
+    EXPECT_EQ(flagged, broken < kLanes ? 1u << broken : 0u)
+        << "broken lane " << broken;
 
-  for (const bool first_breaks : {true, false}) {
-    fill(a, C(1.5, 0.5), first_breaks);
-    fill(c, C(0.5, -2.0), !first_breaks);
-    EXPECT_THROW(SparseFactorization<C>::refactor_pair(a, c), NumericError)
-        << "first breaks: " << first_breaks;
-    fill(a, C(1.5, 0.5), first_breaks);
-    fill(c, C(0.5, -2.0), !first_breaks);
-    SparseFactorization<C>& broken = first_breaks ? a : c;
-    SparseFactorization<C>& intact = first_breaks ? c : a;
-    EXPECT_THROW(broken.refactor(), NumericError);
-    intact.refactor();
-    EXPECT_EQ(intact.solve(b), (first_breaks ? single_c : single_a).solve(b));
+    std::vector<double> x(n * kStride), xt(n * kStride);
+    analysis.solve_lanes<BatchPack>(block.data(), b, x.data());
+    analysis.solve_trailing_lanes<BatchPack>(block.data(), entries,
+                                             xt.data());
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (l == broken) {
+        EXPECT_THROW(singles[l].refactor(), NumericError);
+        continue;
+      }
+      singles[l].refactor();
+      const std::vector<C> values(singles[l].values().begin(),
+                                  singles[l].values().end());
+      EXPECT_EQ(lane_of(block, slots, l), values) << "lane " << l;
+      EXPECT_EQ(lane_of(x, n, l), singles[l].solve(b)) << "lane " << l;
+      std::vector<C> reads(n);
+      singles[l].solve_trailing(entries, reads);
+      const std::vector<C> batched = lane_of(xt, n, l);
+      for (std::size_t u : trailing) {
+        EXPECT_EQ(batched[u].real(), reads[u].real()) << "lane " << l;
+        EXPECT_EQ(batched[u].imag(), reads[u].imag()) << "lane " << l;
+      }
+    }
   }
+}
+
+/// The analysis alone shares the pattern and schedule, not the values.
+TEST(SparseFactorization, AnalysisAloneKeepsStructureOnly) {
+  const SparseFactorization<C> full(random_complex_system(30, 5));
+  const SparseFactorization<C> alone = full.analysis();
+  EXPECT_TRUE(alone.analyzed());
+  EXPECT_EQ(alone.size(), full.size());
+  EXPECT_EQ(alone.factor_nnz(), full.factor_nnz());
+  EXPECT_EQ(alone.slot(0, 0), full.slot(0, 0));
 }
 
 }  // namespace

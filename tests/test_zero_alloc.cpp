@@ -29,6 +29,7 @@
 #include "io/mapped_file.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/rank1.hpp"
+#include "linalg/simd.hpp"
 #include "mna/ac_analysis.hpp"
 #include "mna/frequency_grid.hpp"
 #include "mna/stamp_update.hpp"
@@ -211,10 +212,12 @@ TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
   ladder.testable_stride = 50;
   for (const auto& cut :
        {circuits::make_paper_cut(), circuits::make_rc_ladder(ladder)}) {
-    // The sparse path factors frequency pairs; the odd grids also end on
-    // a frequency factored alone.
+    // The sparse path factors four frequencies per batch; grids 41, 42
+    // and 43 end on a batch padded from one, two and three real lanes.
     const std::size_t at_40 = engine_allocation_count(cut, 40);
     const std::size_t at_41 = engine_allocation_count(cut, 41);
+    const std::size_t at_42 = engine_allocation_count(cut, 42);
+    const std::size_t at_43 = engine_allocation_count(cut, 43);
     const std::size_t at_400 = engine_allocation_count(cut, 400);
     const std::size_t at_401 = engine_allocation_count(cut, 401);
     // A single allocation per frequency would add >= 360 here; allow a
@@ -223,7 +226,78 @@ TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
         << cut.name << ": engine allocations grew with the frequency grid";
     EXPECT_LE(at_401, at_41 + 64)
         << cut.name << ": engine allocations grew with the odd frequency grid";
+    for (const std::size_t tail : {at_42, at_43}) {
+      EXPECT_LE(tail, at_40 + 64)
+          << cut.name << ": a padded tail batch added allocations";
+      EXPECT_LE(at_40, tail + 64) << cut.name;
+    }
   }
+}
+
+/// A warm sparse batch — the engine's phase-1 lane: four frequencies per
+/// factor where the build has SIMD — runs 8 batches of factor, golden
+/// read-set solve and one read-set solve per site without touching the
+/// heap.
+TEST(ZeroAllocation, WarmSparseBatchIsAllocationFree) {
+#if FTDIAG_SIMD_NATIVE
+  using Batch = mna::SparseBatchSolver<linalg::simd::Pack4>;
+#else
+  using Batch = mna::SparseBatchSolver<linalg::simd::ScalarPack>;
+#endif
+  circuits::RcLadderDesign design;
+  design.sections = 200;
+  design.testable_stride = 50;
+  const auto cut = circuits::make_rc_ladder(design);
+  const mna::MnaSystem system(cut.circuit);
+  const mna::SweepAssembler assembler = system.prepare_sweep();
+  const std::size_t n = assembler.size();
+  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  std::vector<mna::Rank1StampUpdate> updates;
+  for (const auto& name : cut.testable) {
+    auto update = mna::rank1_stamp_update(system, name);
+    ASSERT_TRUE(update.has_value()) << name;
+    for (const auto* vec : {&update->u, &update->v}) {
+      for (const auto& entry : vec->entries) read_set.push_back(entry.first);
+    }
+    updates.push_back(std::move(*update));
+  }
+  std::vector<std::pair<std::size_t, Complex>> rhs;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (assembler.rhs()[i] != Complex{}) {
+      rhs.emplace_back(i, assembler.rhs()[i]);
+      read_set.push_back(i);
+    }
+  }
+  const auto context = mna::SweepSolver::analyze(
+      assembler, mna::SolverBackend::kSparse, read_set);
+  ASSERT_TRUE(context->prototype.analyzed());
+  Batch batch(assembler, context);
+  std::vector<double> x0(n * Batch::kStride), w(n * Batch::kStride);
+  const std::vector<double> freqs =
+      mna::FrequencyGrid::log_sweep(10.0, 100e3, 9 * Batch::kWidth)
+          .frequencies();
+  std::vector<Complex> s(Batch::kWidth);
+  const auto run_batch = [&](std::size_t b) {
+    for (std::size_t l = 0; l < Batch::kWidth; ++l) {
+      s[l] = linalg::s_of_hz(freqs[b * Batch::kWidth + l]);
+    }
+    batch.factor(s);
+    batch.solve_read_set(rhs, x0.data());
+    for (const auto& update : updates) {
+      batch.solve_read_set(update.u.entries, w.data());
+    }
+  };
+  run_batch(0);  // warm-up
+
+  const std::size_t before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  for (std::size_t b = 1; b <= 8; ++b) run_batch(b);
+  const std::size_t after =
+      g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "a warm sparse batch must not touch the heap";
+  const std::size_t out = system.node_unknown(cut.output_node);
+  EXPECT_TRUE(std::isfinite(x0[out * Batch::kStride]));
 }
 
 /// Heap allocations of one SweepSolver::analyze of an n-section RC

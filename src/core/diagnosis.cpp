@@ -140,20 +140,23 @@ void best_segment(const Point& p, const DiagnosisEngine::SegmentSoa& soa,
   }
 }
 
-template <typename P>
-Diagnosis diagnose_impl(const std::vector<FaultTrajectory>& trajectories,
-                        const DiagnosisEngine::SegmentSoa& soa,
-                        const Point& observed) {
+}  // namespace
+
+Diagnosis DiagnosisEngine::diagnose(const Point& observed) const {
+  if (observed.size() != dimension()) {
+    throw ConfigError("observed point dimension mismatches trajectories");
+  }
   Diagnosis diagnosis;
-  diagnosis.ranking.reserve(trajectories.size());
-  for (std::size_t ti = 0; ti < trajectories.size(); ++ti) {
+  diagnosis.ranking.reserve(trajectories_.size());
+  for (std::size_t ti = 0; ti < trajectories_.size(); ++ti) {
     TrajectoryMatch match;
-    match.site = trajectories[ti].site();
+    match.site = trajectories_[ti].site();
     match.distance = std::numeric_limits<double>::infinity();
-    best_segment<P>(observed, soa, soa.first[ti], soa.count[ti], 0,
-                    match.distance, match.segment_index, match.t);
+    best_segment<simd::DefaultPack>(observed, soa_, soa_.first[ti],
+                                    soa_.count[ti], 0, match.distance,
+                                    match.segment_index, match.t);
     match.estimated_deviation =
-        trajectories[ti].deviation_on_segment(match.segment_index, match.t);
+        trajectories_[ti].deviation_on_segment(match.segment_index, match.t);
     diagnosis.ranking.push_back(std::move(match));
   }
   std::sort(diagnosis.ranking.begin(), diagnosis.ranking.end(),
@@ -161,18 +164,6 @@ Diagnosis diagnose_impl(const std::vector<FaultTrajectory>& trajectories,
               return a.distance < b.distance;
             });
   return diagnosis;
-}
-
-}  // namespace
-
-Diagnosis DiagnosisEngine::diagnose(const Point& observed) const {
-  if (observed.size() != dimension()) {
-    throw ConfigError("observed point dimension mismatches trajectories");
-  }
-  if (simd::enabled()) {
-    return diagnose_impl<simd::DefaultPack>(trajectories_, soa_, observed);
-  }
-  return diagnose_impl<simd::ScalarPack>(trajectories_, soa_, observed);
 }
 
 Diagnosis DiagnosisEngine::diagnose_scalar(const Point& observed) const {

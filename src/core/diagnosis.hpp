@@ -60,9 +60,9 @@ public:
   /// \throws ConfigError if the point dimension mismatches.
   ///
   /// The segment scoring runs on the SoA planes below, several segments
-  /// per SIMD lane (ScalarPack when the FTDIAG_SIMD knob is off).  Both
-  /// widths evaluate exactly the formulas of diagnose_scalar() in the
-  /// same order, with first-minimal-segment tie-breaking preserved.
+  /// per SIMD lane (ScalarPack in an FTDIAG_SIMD=OFF build).  Both widths
+  /// evaluate exactly the formulas of diagnose_scalar() in the same
+  /// order, with first-minimal-segment tie-breaking preserved.
   [[nodiscard]] Diagnosis diagnose(const Point& observed) const;
 
   /// The original per-segment scalar loop over project_point() — the

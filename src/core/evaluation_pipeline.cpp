@@ -133,16 +133,10 @@ EvaluationPipeline::EvaluationPipeline(const TestVectorEvaluator& evaluator,
   const mna::ResponsePlanes& planes = dictionary.planes();
   grid_size_ = planes.grid();
   responses_ = planes.rows;
-  table_mag_.resize(responses_ * grid_size_);
-  table_log_mag_.resize(responses_ * grid_size_);
-  table_phase_.resize(responses_ * grid_size_);
+  table_.resize(responses_ * grid_size_);
   par::parallel_for(responses_, threads, [&](std::size_t r) {
     for (std::size_t i = r * grid_size_; i < (r + 1) * grid_size_; ++i) {
-      const mna::Complex v(planes.re[i], planes.im[i]);
-      const double mag = std::abs(v);
-      table_mag_[i] = mag;
-      table_log_mag_[i] = mag > 0.0 ? std::log(mag) : 0.0;
-      table_phase_[i] = std::arg(v);
+      table_[i] = mna::polar_sample({planes.re[i], planes.im[i]});
     }
   });
   column_size_ = responses_ * (evaluator_.policy().include_phase ? 2 : 1);
@@ -177,29 +171,13 @@ void EvaluationPipeline::build_column(std::int64_t key, double* column) const {
   // One locate serves every response; values are reconstructed from the
   // precomputed tables, bit-identical to AcResponse::interpolate.
   const mna::AcResponse::GridPosition pos = dictionary.golden().locate(f_hz);
-  constexpr double kPi = 3.14159265358979323846;
   for (std::size_t r = 0; r < responses_; ++r) {
     const std::size_t base = r * grid_size_;
-    mna::Complex h;
-    if (pos.lo == pos.hi) {
-      h = {planes.re[base + pos.lo], planes.im[base + pos.lo]};
-    } else {
-      const double mag_a = table_mag_[base + pos.lo];
-      const double mag_b = table_mag_[base + pos.hi];
-      double m;
-      if (mag_a > 0.0 && mag_b > 0.0) {
-        m = std::exp((1.0 - pos.t) * table_log_mag_[base + pos.lo] +
-                     pos.t * table_log_mag_[base + pos.hi]);
-      } else {
-        m = (1.0 - pos.t) * mag_a + pos.t * mag_b;
-      }
-      const double ph_a = table_phase_[base + pos.lo];
-      double ph_b = table_phase_[base + pos.hi];
-      while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
-      while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
-      const double ph = (1.0 - pos.t) * ph_a + pos.t * ph_b;
-      h = {m * std::cos(ph), m * std::sin(ph)};
-    }
+    const mna::Complex h =
+        pos.lo == pos.hi
+            ? mna::Complex(planes.re[base + pos.lo], planes.im[base + pos.lo])
+            : mna::interpolate_polar(table_[base + pos.lo],
+                                     table_[base + pos.hi], pos.t);
     column[r] = policy.scale == MagnitudeScale::kLinear ? std::abs(h)
                                                         : linalg::to_db(h);
     if (policy.include_phase) column[responses_ + r] = std::arg(h);

@@ -39,6 +39,7 @@
 #include "core/test_vector.hpp"
 #include "core/trajectory.hpp"
 #include "ga/optimizer.hpp"
+#include "mna/response.hpp"
 
 namespace ftdiag::core {
 
@@ -168,17 +169,15 @@ private:
   std::vector<double> vertex_deviation_;
   FlatTrajectories layout_;
 
-  /// Precomputed per-response interpolation tables (|H|, log |H|, arg H at
-  /// every grid index; response 0 is the golden, then the entries in
-  /// order).  Every response shares the golden's grid, so a column build
-  /// locates the frequency once and reconstructs each response's value
-  /// from the tables, bit-identical to AcResponse::interpolate but without
-  /// its per-response binary search, hypots and atan2s.
+  /// Precomputed per-response interpolation table (every grid sample in
+  /// polar form; response 0 is the golden, then the entries in order).
+  /// Every response shares the golden's grid, so a column build locates
+  /// the frequency once and reconstructs each response's value from the
+  /// table, bit-identical to AcResponse::interpolate but without its
+  /// per-response binary search, hypots and atan2s.
   std::size_t grid_size_ = 0;
   std::size_t responses_ = 0;
-  std::vector<double> table_mag_;
-  std::vector<double> table_log_mag_;
-  std::vector<double> table_phase_;
+  std::vector<mna::PolarSample> table_;
 
   /// Column slot c holds column_size_ values at column_data_[c]: every
   /// response's magnitude sample, then (if the policy samples phase) every

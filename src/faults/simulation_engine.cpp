@@ -1,7 +1,6 @@
 #include "faults/simulation_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -69,23 +68,12 @@ struct SweepInputs {
   }
 };
 
-/// Phase-1 workspace of a dense lane: one batched solver plus the full
-/// solution planes of the golden system and of every site's u column.
-template <typename P>
-struct DenseLane {
-  mna::BatchSweepSolver<P> solver;
-  AlignedVector x0_re, x0_im;  ///< n * width
-  AlignedVector w_re, w_im;    ///< site_count * n * width
-};
-
-/// Phase-1 workspace of a sparse lane: one batch solver plus the
-/// read-set solutions of the golden system and of the current site's u,
-/// every frequency of the batch in its own lane.
-template <typename P>
-struct SparseLane {
-  mna::SparseBatchSolver<P> solver;
-  /// n unknowns of SparseBatchSolver<P>::kStride doubles; only read-set
-  /// entries are meaningful.
+/// Phase-1 workspace of a lane: one batch solver plus the solutions of
+/// the golden system and of the current site's u, every frequency of the
+/// batch in its own lane (n unknowns of Solver::kStride doubles).
+template <typename Solver>
+struct GoldenLane {
+  Solver solver;
   linalg::simd::AlignedBuffer x0, w;
 };
 
@@ -109,22 +97,14 @@ struct SiteLane {
 /// on the thread count.
 constexpr std::size_t kFrequencyBlock = 64;
 
-/// Frequencies the sparse backend factors per pack kernel call: four, not
+/// The sparse backend factors four frequencies per pack kernel call, not
 /// the native width, because a lane's value block is factor_nnz 64-byte
 /// lines at four (1.5 MB on the 5000-section ladder, inside L2) and every
-/// pool lane holds one.  With FTDIAG_SIMD off the kernel runs at width 1.
-constexpr std::size_t kSparseBatch = 4;
-static_assert(kFrequencyBlock % kSparseBatch == 0,
-              "block size must hold whole sparse batches");
+/// pool lane holds one.  An FTDIAG_SIMD=OFF build runs it at width 1.
 #if FTDIAG_SIMD_NATIVE
-static_assert(linalg::simd::Pack4::width == kSparseBatch);
-template <typename P>
-using SparseBatchPack = std::conditional_t<P::width == 1,
-                                           linalg::simd::ScalarPack,
-                                           linalg::simd::Pack4>;
+using SparsePack = linalg::simd::Pack4;
 #else
-template <typename P>
-using SparseBatchPack = linalg::simd::ScalarPack;
+using SparsePack = linalg::simd::ScalarPack;
 #endif
 
 /// Process-wide engine metrics (`ftdiag_engine_*`).  Deliberately
@@ -217,17 +197,15 @@ void fill_scale(const mna::Rank1StampUpdate& update, double multiplier,
 }
 
 /// The factorization-reuse sweep over frequency blocks.  Phase 1 factors
-/// the golden system and reduces it to the sweep inputs, batched one
-/// frequency per SIMD lane: on the dense backend P::width frequencies per
-/// batch with full solves, on the sparse backend kSparseBatch per pack
-/// kernel call with read-set solves only.  Phase 2 fans the sites out
-/// over the SIMD Sherman–Morrison sweep, reading nothing but those
-/// inputs.  The golden goes to row 0 of \p block and fault i to row
-/// 1 + i.  Instantiated once on the native pack and once on ScalarPack
-/// (the runtime FTDIAG_SIMD=off twin); every frequency's arithmetic is
-/// independent of which lane computes it and batch membership is
-/// width-determined, so results are bit-stable across thread counts.
-template <typename P>
+/// the golden system and reduces it to the sweep inputs, Solver::kWidth
+/// frequencies per batch, one per SIMD lane: the dense BatchSweepSolver
+/// solves every unknown, the SparseBatchSolver only the read set.  Phase 2
+/// fans the sites out over the SIMD Sherman–Morrison sweep, reading
+/// nothing but those inputs.  The golden goes to row 0 of \p block and
+/// fault i to row 1 + i.  Every frequency's arithmetic is independent of
+/// which lane computes it and batch membership is width-determined, so
+/// results are bit-stable across thread counts.
+template <typename Solver>
 void reuse_sweep(const circuits::CircuitUnderTest& cut,
                  const SimOptions& options,
                  const std::vector<ParametricFault>& faults,
@@ -238,64 +216,41 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
                  const std::vector<SiteItem>& sites,
                  std::vector<SiteState>& state, std::size_t threads,
                  std::size_t out, mna::ResponsePlanes& block) {
-  constexpr std::size_t kW = P::width;
-  using C = linalg::simd::CPack<P>;
-  using SP = SparseBatchPack<P>;
-  constexpr std::size_t kSW = SP::width;
-  constexpr std::size_t kSparseStride = mna::SparseBatchSolver<SP>::kStride;
+  using P = linalg::simd::DefaultPack;
+  constexpr std::size_t kW = Solver::kWidth;
+  constexpr std::size_t kStride = Solver::kStride;
 
   const std::size_t n = assembler.size();
   const std::size_t site_count = sites.size();
   const std::size_t total = frequencies_hz.size();
 
-  static_assert(kFrequencyBlock % kW == 0,
+  static_assert(kFrequencyBlock % kW == 0 && kFrequencyBlock % P::width == 0,
                 "block size must hold whole packs");
   const std::size_t block_cap = std::min(kFrequencyBlock, total);
-  // Room for the block padded to whole packs of either backend.
-  constexpr std::size_t kPad = std::max(kW, kSW);
+  // Room for the block padded to whole batches, and every site's inputs
+  // starting on a whole sweep pack.
+  constexpr std::size_t kPad = std::max(kW, P::width);
   const std::size_t stride = (block_cap + kPad - 1) / kPad * kPad;
   SweepInputs in;
   in.resize(site_count, stride);
   std::vector<Complex> s_padded(stride);
   AlignedVector s_re_block(stride), s_im_block(stride);
 
-  // Phase-1 lanes.  Dense: every site's structural u column as one shared
-  // n x S block (column-major) for the batched multi-RHS solve.  Sparse:
-  // the excitation as (row, value) entries for the read-set solve.
-  std::vector<Complex> u_columns;
   std::vector<std::pair<std::size_t, Complex>> rhs_entries;
-  std::vector<DenseLane<P>> dense_lanes;
-  std::vector<SparseLane<SP>> sparse_lanes;
-  const std::size_t batch_width = context->sparse ? kSW : kW;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (assembler.rhs()[i] != Complex{}) {
+      rhs_entries.emplace_back(i, assembler.rhs()[i]);
+    }
+  }
+  // Allocated here, first touched by the workers' first batch.
   const std::size_t lane_count = std::max<std::size_t>(
-      1, std::min(threads, (block_cap + batch_width - 1) / batch_width));
-  if (context->sparse) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (assembler.rhs()[i] != Complex{}) {
-        rhs_entries.emplace_back(i, assembler.rhs()[i]);
-      }
-    }
-    // Allocated here, first touched by the workers' first batch.
-    sparse_lanes.reserve(lane_count);
-    for (std::size_t i = 0; i < lane_count; ++i) {
-      sparse_lanes.push_back({mna::SparseBatchSolver<SP>(assembler, context),
-                              linalg::simd::aligned_buffer(n * kSparseStride),
-                              linalg::simd::aligned_buffer(n * kSparseStride)});
-    }
-  } else {
-    u_columns.assign(n * site_count, Complex{});
-    for (std::size_t si = 0; si < site_count; ++si) {
-      for (const auto& [index, value] : sites[si].update.u.entries) {
-        u_columns[si * n + index] += value;
-      }
-    }
-    dense_lanes.reserve(lane_count);
-    for (std::size_t i = 0; i < lane_count; ++i) {
-      dense_lanes.push_back({mna::BatchSweepSolver<P>(assembler, context),
-                             AlignedVector(n * kW), AlignedVector(n * kW),
-                             AlignedVector(site_count * n * kW),
-                             AlignedVector(site_count * n * kW)});
-    }
+      1, std::min(threads, (block_cap + kW - 1) / kW));
+  std::vector<GoldenLane<Solver>> lanes;
+  lanes.reserve(lane_count);
+  for (std::size_t i = 0; i < lane_count; ++i) {
+    lanes.push_back({Solver(assembler, context),
+                     linalg::simd::aligned_buffer(n * kStride),
+                     linalg::simd::aligned_buffer(n * kStride)});
   }
   std::vector<SiteLane> site_lanes(
       std::max<std::size_t>(1, std::min(threads, site_count)));
@@ -309,10 +264,9 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
     const std::size_t end = std::min(total, begin + kFrequencyBlock);
     const std::size_t m = end - begin;
     const std::size_t batches = (m + kW - 1) / kW;
-    const std::size_t sparse_batches = (m + kSW - 1) / kSW;
-    // Laplace points of the block, padded to whole packs by replicating
+    // Laplace points of the block, padded to a whole batch by replicating
     // the last frequency (padding lanes compute unused values).
-    for (std::size_t bi = 0; bi < (m + kPad - 1) / kPad * kPad; ++bi) {
+    for (std::size_t bi = 0; bi < batches * kW; ++bi) {
       const std::size_t fi = std::min(begin + bi, total - 1);
       const Complex s = linalg::s_of_hz(frequencies_hz[fi]);
       s_padded[bi] = s;
@@ -320,101 +274,47 @@ void reuse_sweep(const circuits::CircuitUnderTest& cut,
       s_im_block[bi] = s.imag();
     }
 
-    if (context->sparse) {
-      // Batch b holds the block's frequencies [kSW * b, kSW * b + kSW).
-      // Each real lane is reduced to its frequency's sweep inputs, read out
-      // as std::complex.
-      par::parallel_for_lanes(sparse_batches, threads, [&](std::size_t lane,
-                                                           std::size_t batch) {
-        SparseLane<SP>& ws = sparse_lanes[lane];
-        const std::size_t at = batch * kSW;
-        const std::size_t valid = std::min(kSW, m - at);
-        const auto lane_value = [&](const double* x, std::size_t unknown,
-                                   std::size_t l) {
-          return Complex(x[unknown * kSparseStride + l],
-                         x[unknown * kSparseStride + kSW + l]);
-        };
-        ws.solver.factor(std::span<const Complex>(s_padded).subspan(at, kSW),
-                         valid);
-        ws.solver.solve_read_set(rhs_entries, ws.x0.get());
+    // Batch b holds the block's frequencies [kW * b, kW * b + kW).  Each
+    // real lane is reduced to its frequency's sweep inputs, read out as
+    // std::complex.
+    par::parallel_for_lanes(batches, threads, [&](std::size_t lane,
+                                                  std::size_t batch) {
+      GoldenLane<Solver>& ws = lanes[lane];
+      const std::size_t at = batch * kW;
+      const std::size_t valid = std::min(kW, m - at);
+      const auto lane_value = [&](const double* x, std::size_t unknown,
+                                  std::size_t l) {
+        return Complex(x[unknown * kStride + l], x[unknown * kStride + kW + l]);
+      };
+      ws.solver.factor(std::span<const Complex>(s_padded).subspan(at, kW),
+                       valid);
+      ws.solver.solve_read_set(rhs_entries, ws.x0.get());
+      for (std::size_t l = 0; l < valid; ++l) {
+        const Complex x0_out = lane_value(ws.x0.get(), out, l);
+        in.x0_re[at + l] = x0_out.real();
+        in.x0_im[at + l] = x0_out.imag();
+      }
+      for (std::size_t si = 0; si < site_count; ++si) {
+        const mna::Rank1StampUpdate& update = sites[si].update;
+        ws.solver.solve_read_set(update.u.entries, ws.w.get());
         for (std::size_t l = 0; l < valid; ++l) {
-          const Complex x0_out = lane_value(ws.x0.get(), out, l);
-          in.x0_re[at + l] = x0_out.real();
-          in.x0_im[at + l] = x0_out.imag();
-        }
-        for (std::size_t si = 0; si < site_count; ++si) {
-          const mna::Rank1StampUpdate& update = sites[si].update;
-          ws.solver.solve_read_set(update.u.entries, ws.w.get());
-          for (std::size_t l = 0; l < valid; ++l) {
-            Complex v_dot_x0{};
-            Complex v_dot_w{};
-            for (const auto& [index, value] : update.v.entries) {
-              v_dot_x0 += value * lane_value(ws.x0.get(), index, l);
-              v_dot_w += value * lane_value(ws.w.get(), index, l);
-            }
-            const Complex w_out = lane_value(ws.w.get(), out, l);
-            const std::size_t i = si * stride + at + l;
-            in.w_re[i] = w_out.real();
-            in.w_im[i] = w_out.imag();
-            in.vx0_re[i] = v_dot_x0.real();
-            in.vx0_im[i] = v_dot_x0.imag();
-            in.vw_re[i] = v_dot_w.real();
-            in.vw_im[i] = v_dot_w.imag();
+          Complex v_dot_x0{};
+          Complex v_dot_w{};
+          for (const auto& [index, value] : update.v.entries) {
+            v_dot_x0 += value * lane_value(ws.x0.get(), index, l);
+            v_dot_w += value * lane_value(ws.w.get(), index, l);
           }
+          const Complex w_out = lane_value(ws.w.get(), out, l);
+          const std::size_t i = si * stride + at + l;
+          in.w_re[i] = w_out.real();
+          in.w_im[i] = w_out.imag();
+          in.vx0_re[i] = v_dot_x0.real();
+          in.vx0_im[i] = v_dot_x0.imag();
+          in.vw_re[i] = v_dot_w.real();
+          in.vw_im[i] = v_dot_w.imag();
         }
-      });
-    } else {
-      par::parallel_for_lanes(batches, threads, [&](std::size_t lane,
-                                                    std::size_t batch) {
-        DenseLane<P>& ws = dense_lanes[lane];
-        ws.solver.factor(
-            std::span<const Complex>(s_padded).subspan(batch * kW, kW));
-        ws.solver.solve_shared(assembler.rhs(), ws.x0_re.data(),
-                               ws.x0_im.data());
-        if (site_count > 0) {
-          ws.solver.solve_shared_multi(u_columns, site_count, ws.w_re.data(),
-                                       ws.w_im.data());
-        }
-        const std::size_t at = batch * kW;
-        const std::size_t valid = std::min(kW, m - at);
-        // Store a pack's valid lanes (bounce through a stack buffer for
-        // the tail batch so a plane never takes padding lanes).
-        auto scatter = [&](const P& pack, AlignedVector& dst,
-                           std::size_t offset) {
-          if (valid == kW) {
-            pack.store(&dst[offset]);
-            return;
-          }
-          std::array<double, kW> bounce;
-          pack.store(bounce.data());
-          std::copy_n(bounce.data(), valid, &dst[offset]);
-        };
-        const C x0_out = C::load(&ws.x0_re[out * kW], &ws.x0_im[out * kW]);
-        scatter(x0_out.re, in.x0_re, at);
-        scatter(x0_out.im, in.x0_im, at);
-        for (std::size_t si = 0; si < site_count; ++si) {
-          const double* w_re = ws.w_re.data() + si * n * kW;
-          const double* w_im = ws.w_im.data() + si * n * kW;
-          C v_dot_x0{};
-          C v_dot_w{};
-          for (const auto& [index, value] : sites[si].update.v.entries) {
-            const C ve = C::broadcast(value);
-            v_dot_x0 = v_dot_x0 + ve * C::load(&ws.x0_re[index * kW],
-                                               &ws.x0_im[index * kW]);
-            v_dot_w = v_dot_w + ve * C::load(&w_re[index * kW],
-                                             &w_im[index * kW]);
-          }
-          const C w_out = C::load(&w_re[out * kW], &w_im[out * kW]);
-          const std::size_t slot = si * stride + at;
-          scatter(w_out.re, in.w_re, slot);
-          scatter(w_out.im, in.w_im, slot);
-          scatter(v_dot_x0.re, in.vx0_re, slot);
-          scatter(v_dot_x0.im, in.vx0_im, slot);
-          scatter(v_dot_w.re, in.vw_re, slot);
-          scatter(v_dot_w.im, in.vw_im, slot);
-        }
-      });
-    }
+      }
+    });
     std::copy_n(in.x0_re.data(), m, block.row_re(0) + begin);
     std::copy_n(in.x0_im.data(), m, block.row_im(0) + begin);
 
@@ -496,9 +396,9 @@ BatchResult SimulationEngine::run(const circuits::CircuitUnderTest& cut,
                                   const SimOptions& options,
                                   const std::vector<ParametricFault>& faults,
                                   const std::vector<double>& frequencies_hz) {
-  FTDIAG_ASSERT(
-      std::is_sorted(frequencies_hz.begin(), frequencies_hz.end()),
-      "engine frequencies must ascend");
+  if (!mna::is_valid_grid(frequencies_hz)) {
+    throw ConfigError("engine frequencies must be finite and ascending");
+  }
   const std::size_t threads = options.resolved_threads();
   // The system holds a copy of the elaborated circuit; it serves the
   // set-up below and is gone before phase 1's lanes are allocated.
@@ -526,9 +426,7 @@ BatchResult SimulationEngine::run(const circuits::CircuitUnderTest& cut,
   EngineMetrics& metrics = EngineMetrics::get();
   metrics.builds.inc();
   metrics.simd_width.set(
-      linalg::simd::enabled()
-          ? static_cast<std::int64_t>(linalg::simd::DefaultPack::width)
-          : 1);
+      static_cast<std::int64_t>(linalg::simd::DefaultPack::width));
 
   const bool reuse = options.reuse_factorization && out != mna::kNoUnknown;
   if (!reuse) {
@@ -609,17 +507,13 @@ BatchResult SimulationEngine::run(const circuits::CircuitUnderTest& cut,
   const auto context =
       mna::SweepSolver::analyze(assembler, options.backend, read_set);
 
-  // The batched sweep: native-width packs normally, the width-1 scalar
-  // twin when the FTDIAG_SIMD knob (build option or environment
-  // variable) turns vectorization off.  Same formulas per lane either
-  // way — the configurations differ only in how many frequencies share
-  // one instruction.
-  if (linalg::simd::enabled()) {
-    reuse_sweep<linalg::simd::DefaultPack>(
+  // One sweep body over the batch solver of the analysed backend.
+  if (context->sparse) {
+    reuse_sweep<mna::SparseBatchSolver<SparsePack>>(
         cut, options, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, *block);
   } else {
-    reuse_sweep<linalg::simd::ScalarPack>(
+    reuse_sweep<mna::BatchSweepSolver<linalg::simd::DefaultPack>>(
         cut, options, faults, frequencies_hz, assembler, context, sites,
         state, threads, out, *block);
   }

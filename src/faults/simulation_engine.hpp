@@ -5,11 +5,13 @@
 /// system for every fault x frequency pair.  A parametric fault perturbs
 /// exactly one component stamp, so per frequency the engine
 ///
-///   1. assembles and factorizes the *golden* system once — batched dense
-///      LU for small circuits, pattern-reusing sparse LU beyond
-///      mna::SweepAssembler::kDenseLimit, where one pack kernel loads,
-///      refactors and solves four frequencies at a time
-///      (mna::SparseBatchSolver, bit-identical to one at a time),
+///   1. assembles and factorizes the *golden* system once, several
+///      frequencies per batch, one per SIMD lane — batched dense LU at
+///      native width for small circuits (mna::BatchSweepSolver),
+///      pattern-reusing sparse LU four at a time beyond
+///      mna::SweepAssembler::kDenseLimit (mna::SparseBatchSolver,
+///      bit-identical to one at a time); both solvers share one
+///      contract, so this golden phase is written once,
 ///   2. produces each faulty response from that factorization via a
 ///      Sherman–Morrison rank-1 update (linalg/rank1.hpp), solving one
 ///      extra triangular pair per *fault site* — on the sparse backend

@@ -22,7 +22,10 @@
 ///
 /// Storage is split re/im planes: entry (r, c) of all lanes lives at
 /// plane[(r*n + c) * width .. +width), 64-byte aligned.  Pivot
-/// permutations are tracked per lane.
+/// permutations are tracked per lane.  A solve writes each unknown's
+/// lanes at a caller-chosen row stride: split planes, or the
+/// [width re | width im] block per unknown that mna::BatchSweepSolver
+/// shares with the sparse batch.
 #pragma once
 
 #include <complex>
@@ -154,67 +157,22 @@ public:
   }
 
   /// Solve A_l x_l = b for every lane against the shared right-hand side
-  /// \p b, writing split planes x_re/x_im of layout [i * kWidth + lane].
-  /// Allocation-free.
+  /// \p b, writing lane l of unknown i to x_re[i * stride + l] and
+  /// x_im[i * stride + l]: split planes at stride kWidth, one
+  /// [kWidth re | kWidth im] block per unknown at stride 2 * kWidth with
+  /// x_im = x_re + kWidth.  Allocation-free.
   void solve_shared(std::span<const std::complex<double>> b, double* x_re,
-                    double* x_im) const {
+                    double* x_im, std::size_t stride) const {
     const std::size_t n = n_;
     FTDIAG_ASSERT(b.size() == n, "rhs size mismatch in batched LU solve");
     // x = P_l b per lane (per-lane permutation gather).
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t lane = 0; lane < kWidth; ++lane) {
         const std::complex<double> v = b[perm_[i * kWidth + lane]];
-        x_re[i * kWidth + lane] = v.real();
-        x_im[i * kWidth + lane] = v.imag();
+        x_re[i * stride + lane] = v.real();
+        x_im[i * stride + lane] = v.imag();
       }
     }
-    forward_backward(x_re, x_im, kWidth);
-  }
-
-  /// Blocked multi-RHS solve against the shared columns \p b (n x cols,
-  /// column c at b[c*n .. c*n+n)), writing x planes of layout
-  /// [(c*n + i) * kWidth + lane].  All columns advance through one
-  /// forward/backward pass per batch — the multi-RHS panel loop with one
-  /// *frequency* per SIMD lane.
-  void solve_shared_multi(std::span<const std::complex<double>> b,
-                          std::size_t cols, double* x_re,
-                          double* x_im) const {
-    const std::size_t n = n_;
-    FTDIAG_ASSERT(b.size() == n * cols,
-                  "rhs block size mismatch in batched LU solve");
-    for (std::size_t c = 0; c < cols; ++c) {
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t lane = 0; lane < kWidth; ++lane) {
-          const std::complex<double> v = b[c * n + perm_[i * kWidth + lane]];
-          x_re[(c * n + i) * kWidth + lane] = v.real();
-          x_im[(c * n + i) * kWidth + lane] = v.imag();
-        }
-      }
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      forward_backward(x_re + c * n * kWidth, x_im + c * n * kWidth, kWidth);
-    }
-  }
-
-  /// Row i of A went to position perm(i, lane) after pivoting — exposed
-  /// for tests.
-  [[nodiscard]] std::size_t perm(std::size_t i, std::size_t lane) const {
-    return perm_[i * kWidth + lane];
-  }
-
-private:
-  static void swap_groups(double* a, double* b) {
-    const P pa = P::load(a);
-    const P pb = P::load(b);
-    pb.store(a);
-    pa.store(b);
-  }
-
-  /// Triangular solves on one permuted column held as split planes of
-  /// stride \p stride doubles per row.
-  void forward_backward(double* x_re, double* x_im,
-                        std::size_t stride) const {
-    const std::size_t n = n_;
     const double* a_re = a_re_.data();
     const double* a_im = a_im_.data();
     // Forward substitution (L unit diagonal).
@@ -239,6 +197,20 @@ private:
                              a_im + (ii * n_ + ii) * kWidth);
       (acc / diag).store(x_re + ii * stride, x_im + ii * stride);
     }
+  }
+
+  /// Row i of A went to position perm(i, lane) after pivoting — exposed
+  /// for tests.
+  [[nodiscard]] std::size_t perm(std::size_t i, std::size_t lane) const {
+    return perm_[i * kWidth + lane];
+  }
+
+private:
+  static void swap_groups(double* a, double* b) {
+    const P pa = P::load(a);
+    const P pb = P::load(b);
+    pb.store(a);
+    pa.store(b);
   }
 
   std::size_t n_ = 0;

@@ -20,11 +20,6 @@ using Complex = std::complex<double>;
   return 20.0 * std::log10(std::fabs(magnitude));
 }
 
-/// Inverse of to_db.
-[[nodiscard]] inline double from_db(double db) {
-  return std::pow(10.0, db / 20.0);
-}
-
 /// Phase in degrees in (-180, 180].
 [[nodiscard]] inline double phase_deg(const Complex& z) {
   return std::arg(z) * 180.0 / std::numbers::pi;
@@ -33,13 +28,6 @@ using Complex = std::complex<double>;
 /// Laplace variable for a physical frequency in hertz: s = j*2*pi*f.
 [[nodiscard]] inline Complex s_of_hz(double hz) {
   return Complex(0.0, 2.0 * std::numbers::pi * hz);
-}
-
-/// Approximate complex equality with absolute tolerance on both parts.
-[[nodiscard]] inline bool approx_equal(const Complex& a, const Complex& b,
-                                       double tol) {
-  return std::fabs(a.real() - b.real()) <= tol &&
-         std::fabs(a.imag() - b.imag()) <= tol;
 }
 
 }  // namespace ftdiag::linalg

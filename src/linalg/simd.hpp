@@ -20,10 +20,8 @@
 /// which defines `FTDIAG_SIMD_ENABLED=1`) *and* the toolchain ships the
 /// Parallelism-TS header; otherwise it is `ScalarPack` — so every kernel
 /// always compiles and the two configurations differ only in width.
-/// On top of the build knob, `simd::enabled()` reads the `FTDIAG_SIMD`
-/// environment variable once per process ("0"/"off" forces the scalar
-/// instantiation at runtime) so a mis-vectorization can be ruled out in
-/// the field without a rebuild.
+/// The choice is made at build time only (`simd::enabled()` reports it):
+/// a `-DFTDIAG_SIMD=OFF` build is the way to run the scalar kernels.
 ///
 /// Both packs run the same formula per lane, so a wide kernel and its
 /// scalar twin agree bit-for-bit unless the optimizer contracts a
@@ -38,10 +36,8 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <new>
-#include <string>
 #include <vector>
 
 #ifndef FTDIAG_SIMD_ENABLED
@@ -352,11 +348,9 @@ using DefaultPack = ScalarPack;
 
 #endif  // FTDIAG_SIMD_NATIVE
 
-/// True when the wide pack is compiled in (build-time view of the knob).
-inline constexpr bool kSimdCompiled = FTDIAG_SIMD_NATIVE != 0;
-
-/// The width hot paths run at when enabled() is true.
-inline constexpr std::size_t kDefaultWidth = DefaultPack::width;
+/// True when the wide pack is compiled in: the build enables SIMD and
+/// the toolchain ships the Parallelism-TS header.
+[[nodiscard]] constexpr bool enabled() { return FTDIAG_SIMD_NATIVE != 0; }
 
 /// Finiteness per lane without a libm call: x - x is 0 for every finite
 /// x and NaN for ±inf/NaN (no fast-math in this code base, so the
@@ -364,22 +358,6 @@ inline constexpr std::size_t kDefaultWidth = DefaultPack::width;
 template <typename P>
 [[nodiscard]] inline typename P::Mask finite_mask(P x) {
   return (x - x) == P::broadcast(0.0);
-}
-
-/// Runtime view of the FTDIAG_SIMD knob: false when the build is scalar
-/// or the FTDIAG_SIMD environment variable is "0"/"off"/"false".  Hot
-/// paths branch on this once per call and run the ScalarPack
-/// instantiation when disabled — same formulas, width 1.
-[[nodiscard]] inline bool enabled() {
-  if constexpr (!kSimdCompiled) return false;
-  static const bool on = [] {
-    const char* env = std::getenv("FTDIAG_SIMD");
-    if (env == nullptr) return true;
-    const std::string value(env);
-    return !(value == "0" || value == "off" || value == "OFF" ||
-             value == "false");
-  }();
-  return on;
 }
 
 // ---------------------------------------------------------- complex pack

@@ -15,6 +15,27 @@ bool is_valid_grid(std::span<const double> frequencies_hz) {
   return true;
 }
 
+PolarSample polar_sample(Complex v) {
+  const double mag = std::abs(v);
+  return {mag, mag > 0.0 ? std::log(mag) : 0.0, std::arg(v)};
+}
+
+// Never inlined, so every caller runs the same compiled body: a copy
+// inlined elsewhere may contract its multiply-adds differently.
+[[gnu::noinline]] Complex interpolate_polar(const PolarSample& a,
+                                            const PolarSample& b, double t) {
+  const double mag =
+      a.mag > 0.0 && b.mag > 0.0
+          ? std::exp((1.0 - t) * a.log_mag + t * b.log_mag)
+          : (1.0 - t) * a.mag + t * b.mag;
+  constexpr double kPi = 3.14159265358979323846;
+  double ph_b = b.phase;
+  while (ph_b - a.phase > kPi) ph_b -= 2.0 * kPi;
+  while (ph_b - a.phase < -kPi) ph_b += 2.0 * kPi;
+  const double ph = (1.0 - t) * a.phase + t * ph_b;
+  return Complex(mag * std::cos(ph), mag * std::sin(ph));
+}
+
 ResponsePlanes::ResponsePlanes(std::vector<double> frequencies_hz,
                                std::size_t row_count)
     : frequencies(std::move(frequencies_hz)),
@@ -99,28 +120,8 @@ Complex AcResponse::interpolate(double frequency_hz) const {
 Complex AcResponse::interpolate(const GridPosition& position) const {
   if (empty()) throw NumericError("interpolation on an empty response");
   if (position.lo == position.hi) return value(position.lo);
-  const double t = position.t;
-
-  const Complex a = value(position.lo);
-  const Complex b = value(position.hi);
-  const double mag_a = std::abs(a);
-  const double mag_b = std::abs(b);
-  // Magnitude: geometric interpolation when both are positive (straight
-  // line on a Bode plot), linear otherwise.
-  double mag;
-  if (mag_a > 0.0 && mag_b > 0.0) {
-    mag = std::exp((1.0 - t) * std::log(mag_a) + t * std::log(mag_b));
-  } else {
-    mag = (1.0 - t) * mag_a + t * mag_b;
-  }
-  // Phase: shortest-arc linear interpolation.
-  const double ph_a = std::arg(a);
-  double ph_b = std::arg(b);
-  constexpr double kPi = 3.14159265358979323846;
-  while (ph_b - ph_a > kPi) ph_b -= 2.0 * kPi;
-  while (ph_b - ph_a < -kPi) ph_b += 2.0 * kPi;
-  const double ph = (1.0 - t) * ph_a + t * ph_b;
-  return Complex(mag * std::cos(ph), mag * std::sin(ph));
+  return interpolate_polar(polar_sample(value(position.lo)),
+                           polar_sample(value(position.hi)), position.t);
 }
 
 double AcResponse::magnitude_at(double frequency_hz) const {

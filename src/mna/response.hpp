@@ -24,6 +24,25 @@ using linalg::Complex;
 /// this first and throw ParseError instead.
 [[nodiscard]] bool is_valid_grid(std::span<const double> frequencies_hz);
 
+/// One response sample in polar form, the operands of interpolate_polar:
+/// |v|, log |v| (0 when |v| is 0, and then never read) and arg v.
+struct PolarSample {
+  double mag = 0.0;
+  double log_mag = 0.0;
+  double phase = 0.0;
+};
+
+/// \p v in polar form.
+[[nodiscard]] PolarSample polar_sample(Complex v);
+
+/// The value a fraction \p t of the way from sample \p a to sample \p b:
+/// magnitude geometric when both are positive (a straight line on a Bode
+/// plot) and linear otherwise, phase linear along the shorter arc.  The
+/// one copy of the formula: AcResponse::interpolate and the GA's
+/// precomputed column tables both call it, so they agree to the bit.
+[[nodiscard]] Complex interpolate_polar(const PolarSample& a,
+                                        const PolarSample& b, double t);
+
 /// Complex responses on one shared ascending grid, stored once as
 /// 64-byte-aligned row-major re/im planes: row r is [r * grid(),
 /// (r + 1) * grid()) of each.  The SIMD sweep writes this layout and the

@@ -14,12 +14,15 @@
 ///     frequency with zero steady-state allocations on both backends.
 ///     `SweepSolver` factors one frequency; `BatchSweepSolver<P>` (dense)
 ///     and `SparseBatchSolver<P>` (sparse) factor P::width of them at
-///     once, one per SIMD lane.  The sparse batch is one pack kernel that
-///     loads G + s*C into the frozen pattern, replays the compiled
-///     elimination schedule (linalg::SparseFactorization::refactor_lanes)
-///     and solves for the read set alone; every lane gets the bits a
-///     one-frequency factor gives it, and `SweepSolver`'s sparse backend
-///     is that kernel's ScalarPack instantiation.
+///     once, one per SIMD lane, behind one contract — `factor(s, valid)`
+///     and `solve_read_set` into a [width re | width im] block per
+///     unknown — so the engine's golden phase is one body over either.
+///     The sparse batch is one pack kernel that loads G + s*C into the
+///     frozen pattern, replays the compiled elimination schedule
+///     (linalg::SparseFactorization::refactor_lanes) and solves for the
+///     read set alone; every lane gets the bits a one-frequency factor
+///     gives it, and `SweepSolver`'s sparse backend is that kernel's
+///     ScalarPack instantiation.
 ///
 /// Determinism: the Context depends only on the circuit, the read set and
 /// the fixed reference point, never on which frequencies were solved
@@ -79,12 +82,12 @@ struct SweepContext {
 /// at once, one frequency per SIMD lane, against the same immutable dense
 /// Context.  The batch goes through the SweepAssembler's SIMD G + s*C
 /// combine and linalg::BatchLu, so pivot search, elimination and the
-/// multi-RHS solves all run as wide arithmetic.
+/// triangular solves all run as wide arithmetic.
 ///
-/// Outputs are split re/im planes of layout [slot * width + lane]: lane l
-/// of pack slot i holds frequency l's solution component i, i.e. the
-/// frequency-major SoA form the Sherman–Morrison sweep consumes directly
-/// (no transpose pass).
+/// Its contract is SparseBatchSolver's: factor(s, valid), and solves
+/// into blocks of n unknowns of kStride doubles, lane l of unknown i at
+/// (x[i * kStride + l], x[i * kStride + kWidth + l]).  A dense factor
+/// has no read set, so solve_read_set() solves every unknown.
 ///
 /// Determinism: which frequencies share a batch is fixed by the caller's
 /// batching (width-determined, never thread-determined), and lanes are
@@ -95,19 +98,24 @@ template <typename P>
 class BatchSweepSolver {
 public:
   static constexpr std::size_t kWidth = P::width;
+  static constexpr std::size_t kStride = 2 * kWidth;
 
   BatchSweepSolver(const SweepAssembler& assembler,
                    std::shared_ptr<const SweepContext> context)
-      : assembler_(&assembler), context_(std::move(context)) {
+      : assembler_(&assembler),
+        context_(std::move(context)),
+        rhs_(assembler.size()) {
     FTDIAG_ASSERT(context_ != nullptr && !context_->sparse,
                   "batched sweep solver needs an analyzed dense context");
   }
 
   /// Assemble and factor A(s_l) for every lane; \p s must hold kWidth
-  /// Laplace points (callers pad short tails by replicating the last
-  /// frequency).  \throws NumericError if any lane is singular.
-  void factor(std::span<const Complex> s) {
-    FTDIAG_ASSERT(s.size() == kWidth, "batched factor needs kWidth points");
+  /// Laplace points, of which the first \p valid are real.  Callers pad a
+  /// short tail by replicating the last frequency, so every lane is
+  /// factored.  \throws NumericError if any lane is singular.
+  void factor(std::span<const Complex> s, std::size_t valid = kWidth) {
+    FTDIAG_ASSERT(s.size() == kWidth && valid >= 1 && valid <= kWidth,
+                  "batched factor needs kWidth points, one or more real");
     linalg::simd::CPack<P> pack;
     for (std::size_t lane = 0; lane < kWidth; ++lane) {
       s_re_[lane] = s[lane].real();
@@ -120,30 +128,28 @@ public:
     lu_.factor();
   }
 
-  /// Solve every lane against the shared right-hand side \p b into split
-  /// planes x_re/x_im of layout [i * kWidth + lane].
-  void solve_shared(std::span<const Complex> b, double* x_re, double* x_im) {
-    lu_.solve_shared(b, x_re, x_im);
-  }
-
-  /// Solve against shared columns (column c of \p b at [c*n, c*n + n))
-  /// into planes of layout [(c*n + i) * kWidth + lane].
-  void solve_shared_multi(std::span<const Complex> b, std::size_t cols,
-                          double* x_re, double* x_im) {
-    lu_.solve_shared_multi(b, cols, x_re, x_im);
+  /// Solve every lane against the shared right-hand side \p b, given as
+  /// (row, value) entries summed in order, into \p x (n unknowns of
+  /// kStride doubles).  Allocation-free.
+  void solve_read_set(std::span<const std::pair<std::size_t, Complex>> b,
+                      double* x) {
+    for (const auto& [row, value] : b) rhs_[row] += value;
+    lu_.solve_shared(rhs_, x, x + kWidth, kStride);
+    for (const auto& entry : b) rhs_[entry.first] = Complex{};
   }
 
 private:
   const SweepAssembler* assembler_;
   std::shared_ptr<const SweepContext> context_;
   linalg::BatchLu<P> lu_;
+  std::vector<Complex> rhs_;  ///< all zero between solves
   std::array<double, kWidth> s_re_{}, s_im_{};
 };
 
 /// The sparse backend's batch: factor/solve P::width frequencies at once
 /// against one analyzed sparse Context, one frequency per SIMD lane —
-/// P is ScalarPack (SweepSolver's sparse backend, and the engine with
-/// FTDIAG_SIMD off) or the 4-wide Pack4.
+/// P is ScalarPack (SweepSolver's sparse backend, and the engine in an
+/// FTDIAG_SIMD=OFF build) or the 4-wide Pack4.
 ///
 /// The lanes' factor values live in one block, allocated uninitialized
 /// at construction so its pages are first touched by the first factor,

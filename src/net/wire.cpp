@@ -64,11 +64,6 @@ mna::AcResponse get_response(ByteReader& reader) {
 
 }  // namespace
 
-bool is_known_message_type(std::uint8_t raw) {
-  return raw >= static_cast<std::uint8_t>(MessageType::kDiagnose) &&
-         raw <= static_cast<std::uint8_t>(MessageType::kOverloaded);
-}
-
 std::string encode_frame(MessageType type, std::string_view payload) {
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());

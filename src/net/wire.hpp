@@ -98,8 +98,6 @@ enum class StatsFormat : std::uint8_t {
   kPrometheus = 1,
 };
 
-[[nodiscard]] bool is_known_message_type(std::uint8_t raw);
-
 /// A decoded frame header.  `type` is the raw byte: receivers decide how
 /// to treat unknown types (the server answers with an error frame rather
 /// than dropping the connection).

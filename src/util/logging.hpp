@@ -5,8 +5,8 @@
 ///
 /// The threshold can be set programmatically with `set_level` or from
 /// the environment via `FTDIAG_LOG={debug,info,warn,error,off}`
-/// (mirroring `FTDIAG_THREADS` / `FTDIAG_SIMD`).  An explicit
-/// `set_level` call always wins over the environment.
+/// (mirroring `FTDIAG_THREADS`).  An explicit `set_level` call always
+/// wins over the environment.
 ///
 /// Messages may carry structured `key=value` fields appended after the
 /// text, e.g.

@@ -339,7 +339,7 @@ void batch_lu_case(std::size_t n, unsigned seed) {
   for (auto& v : b) v = Complex(dist(rng), dist(rng));
 
   std::vector<double> x_re(n * kW), x_im(n * kW);
-  batch.solve_shared(b, x_re.data(), x_im.data());
+  batch.solve_shared(b, x_re.data(), x_im.data(), kW);
 
   for (std::size_t lane = 0; lane < kW; ++lane) {
     const linalg::LuFactorization<Complex> lu(systems[lane]);
@@ -352,22 +352,14 @@ void batch_lu_case(std::size_t n, unsigned seed) {
     }
   }
 
-  // Multi-RHS: 3 shared columns, planes [(c*n + i) * kW + lane].
-  const std::size_t cols = 3;
-  std::vector<Complex> block(n * cols);
-  for (auto& v : block) v = Complex(dist(rng), dist(rng));
-  std::vector<double> y_re(n * cols * kW), y_im(n * cols * kW);
-  batch.solve_shared_multi(block, cols, y_re.data(), y_im.data());
-  for (std::size_t lane = 0; lane < kW; ++lane) {
-    const linalg::LuFactorization<Complex> lu(systems[lane]);
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::vector<Complex> col(block.begin() + c * n,
-                                     block.begin() + (c + 1) * n);
-      const std::vector<Complex> x = lu.solve(col);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_rel_close(y_re[(c * n + i) * kW + lane], x[i].real(), "multi re");
-        expect_rel_close(y_im[(c * n + i) * kW + lane], x[i].imag(), "multi im");
-      }
+  // Strided: one [kW re | kW im] block per unknown, the layout
+  // mna::BatchSweepSolver solves into — the same bits as split planes.
+  std::vector<double> blocks(n * 2 * kW);
+  batch.solve_shared(b, blocks.data(), blocks.data() + kW, 2 * kW);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t lane = 0; lane < kW; ++lane) {
+      EXPECT_EQ(blocks[i * 2 * kW + lane], x_re[i * kW + lane]) << i;
+      EXPECT_EQ(blocks[i * 2 * kW + kW + lane], x_im[i * kW + lane]) << i;
     }
   }
 }

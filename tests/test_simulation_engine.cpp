@@ -441,6 +441,22 @@ TEST(SimulationEngine, RejectsBadOptions) {
   EXPECT_THROW(SimulationEngine(circuits::make_paper_cut(), options),
                ConfigError);
   EXPECT_GE(SimOptions{}.resolved_threads(), 1u);
+
+  // A grid that is not finite and ascending is a configuration error on
+  // every entry point, not an abort.
+  const auto cut = circuits::make_paper_cut();
+  const FaultUniverse universe = FaultUniverse::over_testable(cut);
+  const std::vector<ParametricFault> faults = universe.enumerate();
+  const SimulationEngine engine(cut);
+  for (const std::vector<double>& grid :
+       {std::vector<double>{1e3, 1e2, 10.0},
+        std::vector<double>{10.0, std::nan(""), 1e3}}) {
+    EXPECT_THROW((void)engine.simulate_all(faults, grid), ConfigError);
+    EXPECT_THROW((void)SimulationEngine::simulate(cut, {}, faults, grid),
+                 ConfigError);
+    EXPECT_THROW((void)FaultDictionary::build(cut, universe, grid),
+                 ConfigError);
+  }
 }
 
 }  // namespace

@@ -234,28 +234,22 @@ TEST(ZeroAllocation, EngineAllocationCountIsFrequencyCountIndependent) {
   }
 }
 
-/// A warm sparse batch — the engine's phase-1 lane: four frequencies per
-/// factor where the build has SIMD — runs 8 batches of factor, golden
-/// read-set solve and one read-set solve per site without touching the
-/// heap.
-TEST(ZeroAllocation, WarmSparseBatchIsAllocationFree) {
-#if FTDIAG_SIMD_NATIVE
-  using Batch = mna::SparseBatchSolver<linalg::simd::Pack4>;
-#else
-  using Batch = mna::SparseBatchSolver<linalg::simd::ScalarPack>;
-#endif
-  circuits::RcLadderDesign design;
-  design.sections = 200;
-  design.testable_stride = 50;
-  const auto cut = circuits::make_rc_ladder(design);
+/// Heap allocations of 8 warm batches of \p Batch — the engine's phase-1
+/// lane — on \p cut: factor, golden read-set solve and one read-set
+/// solve per site, after one warm-up batch.
+template <typename Batch>
+std::size_t warm_batch_allocation_count(const circuits::CircuitUnderTest& cut,
+                                        mna::SolverBackend backend) {
   const mna::MnaSystem system(cut.circuit);
   const mna::SweepAssembler assembler = system.prepare_sweep();
   const std::size_t n = assembler.size();
-  std::vector<std::size_t> read_set{system.node_unknown(cut.output_node)};
+  const std::size_t out = system.node_unknown(cut.output_node);
+  std::vector<std::size_t> read_set{out};
   std::vector<mna::Rank1StampUpdate> updates;
   for (const auto& name : cut.testable) {
     auto update = mna::rank1_stamp_update(system, name);
-    ASSERT_TRUE(update.has_value()) << name;
+    EXPECT_TRUE(update.has_value()) << cut.name << " " << name;
+    if (!update) continue;
     for (const auto* vec : {&update->u, &update->v}) {
       for (const auto& entry : vec->entries) read_set.push_back(entry.first);
     }
@@ -268,9 +262,9 @@ TEST(ZeroAllocation, WarmSparseBatchIsAllocationFree) {
       read_set.push_back(i);
     }
   }
-  const auto context = mna::SweepSolver::analyze(
-      assembler, mna::SolverBackend::kSparse, read_set);
-  ASSERT_TRUE(context->prototype.analyzed());
+  const auto context = mna::SweepSolver::analyze(assembler, backend, read_set);
+  EXPECT_EQ(context->sparse, backend == mna::SolverBackend::kSparse);
+  if (context->sparse) EXPECT_TRUE(context->prototype.analyzed());
   Batch batch(assembler, context);
   std::vector<double> x0(n * Batch::kStride), w(n * Batch::kStride);
   const std::vector<double> freqs =
@@ -294,10 +288,33 @@ TEST(ZeroAllocation, WarmSparseBatchIsAllocationFree) {
   for (std::size_t b = 1; b <= 8; ++b) run_batch(b);
   const std::size_t after =
       g_allocation_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
+  EXPECT_TRUE(std::isfinite(x0[out * Batch::kStride])) << cut.name;
+  return after - before;
+}
+
+/// A warm batch of either backend — four frequencies per sparse factor
+/// where the build has SIMD, the native width on the dense one — runs
+/// 8 batches without touching the heap.
+TEST(ZeroAllocation, WarmSparseBatchIsAllocationFree) {
+#if FTDIAG_SIMD_NATIVE
+  using SparseBatch = mna::SparseBatchSolver<linalg::simd::Pack4>;
+#else
+  using SparseBatch = mna::SparseBatchSolver<linalg::simd::ScalarPack>;
+#endif
+  circuits::RcLadderDesign design;
+  design.sections = 200;
+  design.testable_stride = 50;
+  EXPECT_EQ(warm_batch_allocation_count<SparseBatch>(
+                circuits::make_rc_ladder(design), mna::SolverBackend::kSparse),
+            0u)
       << "a warm sparse batch must not touch the heap";
-  const std::size_t out = system.node_unknown(cut.output_node);
-  EXPECT_TRUE(std::isfinite(x0[out * Batch::kStride]));
+
+  using DenseBatch = mna::BatchSweepSolver<linalg::simd::DefaultPack>;
+  EXPECT_EQ(warm_batch_allocation_count<DenseBatch>(
+                circuits::make_by_name("state_variable"),
+                mna::SolverBackend::kAuto),
+            0u)
+      << "a warm dense batch must not touch the heap";
 }
 
 /// Heap allocations of one SweepSolver::analyze of an n-section RC

@@ -8,6 +8,13 @@
 /// per-genome forked RNG stream, in slot order) and hands the whole slice
 /// to the BatchObjective in one call.  Scores are consumed in slot order,
 /// so the result is bit-identical however the objective parallelizes.
+///
+/// The generation step runs serially between two parallel evaluations, so
+/// it is kept small: the population is one flat population × dimensions
+/// buffer ranked by sorting (fitness, row) pairs, offspring overwrite the
+/// rows of the individuals they replace, the batch of genomes is reused
+/// from one generation to the next, and parents are drawn from a
+/// cumulative roulette/rank table by binary search (SelectionContext).
 #pragma once
 
 #include "ga/operators.hpp"

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ga/optimizer.hpp"
@@ -17,41 +18,41 @@ enum class SelectionKind : std::uint8_t { kRoulette, kTournament, kRank };
 enum class CrossoverKind : std::uint8_t { kArithmetic, kUniform, kBlend };
 enum class MutationKind : std::uint8_t { kGaussian, kUniformReset };
 
-/// Pick one parent index from a scored population.
-[[nodiscard]] std::size_t select_parent(const std::vector<Candidate>& population,
-                                        SelectionKind kind, Rng& rng,
-                                        std::size_t tournament_size = 3);
-
-/// Reusable selection state over one fixed (already scored) population:
-/// the roulette/rank weight tables are computed once, so a whole
-/// generation of offspring can draw parents without rebuilding them per
-/// call.  Draw-for-draw identical to select_parent.  The population must
+/// Reusable selection state over one fixed (already scored) population,
+/// given as its fitness values: index i of a draw names fitness[i].  The
+/// roulette/rank wheel is built once as a table of running weight sums,
+/// so a whole generation of offspring draws parents by binary search
+/// instead of one O(n) scan each.  Draw-for-draw identical to
+/// Rng::weighted_index over the same weights (the same sums in the same
+/// order, the same uniform fallback when they total zero).  Aborts on a
+/// NaN roulette weight, as weighted_index does.  The fitness values must
 /// outlive the context and stay unmodified while it is used.
 class SelectionContext {
 public:
-  SelectionContext(const std::vector<Candidate>& population,
-                   SelectionKind kind, std::size_t tournament_size = 3);
+  SelectionContext(std::span<const double> fitness, SelectionKind kind,
+                   std::size_t tournament_size = 3);
 
-  /// One parent index, consuming draws from \p rng exactly as
-  /// select_parent would.
+  /// One parent index.  Consumes from \p rng what one weighted_index call
+  /// over the weights would (roulette, rank), or tournament_size
+  /// uniform_int draws (tournament).
   [[nodiscard]] std::size_t select(Rng& rng) const;
 
 private:
-  const std::vector<Candidate>& population_;
+  std::span<const double> fitness_;
   SelectionKind kind_;
   std::size_t tournament_size_;
-  std::vector<double> weights_;  ///< roulette / rank tables (else empty)
+  std::vector<double> cumulative_;  ///< roulette / rank running sums (else empty)
 };
 
-/// Produce one child genome from two parents.
-[[nodiscard]] std::vector<double> crossover(const std::vector<double>& a,
-                                            const std::vector<double>& b,
-                                            CrossoverKind kind, Rng& rng,
-                                            double blend_alpha = 0.5);
+/// Write one child genome of two parents into \p child (all three the
+/// same length).
+void crossover(std::span<const double> a, std::span<const double> b,
+               std::span<double> child, CrossoverKind kind, Rng& rng,
+               double blend_alpha = 0.5);
 
 /// Mutate a genome in place.  Each gene mutates independently with
 /// probability \p per_gene_rate.
-void mutate(std::vector<double>& genes, MutationKind kind, double per_gene_rate,
+void mutate(std::span<double> genes, MutationKind kind, double per_gene_rate,
             double gaussian_sigma, const GeneBounds& bounds, Rng& rng);
 
 }  // namespace ftdiag::ga

@@ -9,6 +9,8 @@ namespace ftdiag::par {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Process-wide pool metrics (`ftdiag_pool_*`).  Sharded counters: every
 /// lane of every parallel region bumps them, so per-thread shards keep
 /// the hot path free of shared cache lines.
@@ -43,6 +45,31 @@ thread_local std::size_t t_region_depth = 0;
 /// that run after teardown must fall back to inline execution instead of
 /// touching a destroyed object.
 std::atomic<bool> g_global_destroyed{false};
+
+/// Tells the core this thread is in a spin-wait loop (frees pipeline
+/// resources for a hyper-thread sibling and saves power).
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Polls \p done until it returns true (then true) or \p deadline passes
+/// (then false).  Each poll yields the core: a scheduler may queue a woken
+/// lane behind a spinning one on the same core (it often places a wakee on
+/// the waker's core), and a pause-only loop would hold that core for the
+/// whole bound while the queued lane waits.
+template <typename Done>
+bool spin_until(Done done, Clock::time_point deadline) {
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    cpu_relax();
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -80,6 +107,7 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    posted_.fetch_add(1, std::memory_order_release);  // wakes the spinners
   }
   work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
@@ -153,37 +181,68 @@ void ThreadPool::work_on(Job& job, std::size_t lane) {
 
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
+  // One spin budget per idle spell: a post the lane cannot attach to (all
+  // of that job's lanes taken) sends it back to spinning, not to sleep.
+  bool idle = false;
+  Clock::time_point spin_deadline{};
   for (;;) {
     Job* job = find_attachable_locked();
     if (job == nullptr) {
       if (stop_) return;
+      if (!idle) {
+        idle = true;
+        spin_deadline = Clock::now() + kSpinBeforePark;
+      }
+      if (Clock::now() < spin_deadline) {
+        const std::uint64_t seen = posted_.load(std::memory_order_relaxed);
+        lock.unlock();
+        (void)spin_until(
+            [&] { return posted_.load(std::memory_order_acquire) != seen; },
+            spin_deadline);
+        lock.lock();
+        continue;  // re-check under the mutex before parking
+      }
       work_cv_.wait(lock);
+      idle = false;
       continue;
     }
+    idle = false;
     const std::size_t lane = job->lane_ticket++;
-    ++job->active;
+    job->active.fetch_add(1, std::memory_order_relaxed);
     lock.unlock();
     work_on(*job, lane);
     lock.lock();
-    if (--job->active == 0) done_cv_.notify_all();
+    // The caller may return (and its job leave the stack) as soon as it
+    // sees zero, so this is the worker's last touch of the job.
+    if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      done_cv_.notify_all();
+    }
   }
 }
 
 void ThreadPool::run(Job& job) {
   PoolMetrics::get().jobs.inc();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    enqueue_locked(job);
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  enqueue_locked(job);
+  lock.unlock();
+  // Bumped after the unlock, so a spinning worker that sees it finds the
+  // mutex free; one that gives up first still finds the job when it
+  // re-checks the list before parking.
+  posted_.fetch_add(1, std::memory_order_release);
   work_cv_.notify_all();
   work_on(job, /*lane=*/0);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // No new workers may attach once the job leaves the list; the ones
-    // already attached are counted in `active` and drain their blocks
-    // before detaching, so active == 0 means the whole range completed.
-    dequeue_locked(job);
-    done_cv_.wait(lock, [&] { return job.active == 0; });
+  // No new workers may attach once the job leaves the list; the ones
+  // already attached are counted in `active` and drain their blocks
+  // before detaching, so active == 0 means the whole range completed.
+  lock.lock();
+  dequeue_locked(job);
+  lock.unlock();
+  const auto drained = [&] {
+    return job.active.load(std::memory_order_acquire) == 0;
+  };
+  if (!spin_until(drained, Clock::now() + kSpinBeforePark)) {
+    lock.lock();
+    done_cv_.wait(lock, drained);
   }
   if (job.error) std::rethrow_exception(job.error);
 }

@@ -38,7 +38,7 @@ TEST(AtpgOptions, BadConfigsRejected) {
   EXPECT_THROW(no_freq.check(), ConfigError);
 
   // Fitness selection is typed; bad names die at the parse helper.
-  EXPECT_THROW(core::parse_fitness_kind("nope"), ConfigError);
+  EXPECT_THROW((void)core::parse_fitness_kind("nope"), ConfigError);
 
   SessionOptions bad_ga;
   bad_ga.search.ga.population_size = 0;

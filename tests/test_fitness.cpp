@@ -99,7 +99,7 @@ TEST(Factory, ParseRoundTripsToString) {
                            FitnessKind::kHybrid}) {
     EXPECT_EQ(parse_fitness_kind(to_string(kind)), kind);
   }
-  EXPECT_THROW(parse_fitness_kind("bogus"), ConfigError);
+  EXPECT_THROW((void)parse_fitness_kind("bogus"), ConfigError);
 }
 
 TEST(Fitness, OrderingMatchesDiagnosability) {
